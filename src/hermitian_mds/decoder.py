@@ -17,26 +17,26 @@ N this is the same as n > (N+1)/2; for even N the weaker reading would
 admit returns at distance floor((N-1)/2), breaking the guarantee that a
 returned word is always within floor((N-3)/2) of what was received.)
 
-Centers are drawn from two families, in order: the affine points of a
-line of z = 0 external to Xi, then the affine points of the cone
-generator over the first non-arc direction.  The second family is needed
-for completeness: a codeword plane whose trace on z = 0 meets the
-external line only at infinity contains no center of the first family,
-and projections from a center outside the plane spread the lifted points
-into an arc that never reaches the threshold (the all-constant codewords
-are always in this situation).  Every codeword plane contains exactly one
-affine point of the second family, because the generator's infinite point
-is the cone vertex, which codeword planes avoid.  The soundness argument
-(any returned word is within (N-3)/2 of the received word) only uses the
-threshold count and the discard rule for lines through the vertex
-direction, so it is unaffected by where the center sits.
+Centers are the q affine points (u, v, w, 1) of the cone generator over
+the first point (u, v) of the plane z = 0, in integer order, that is off
+the base arc.  Every codeword plane z = c1*x + c2*y + c0*t meets that
+generator in exactly one affine point, (u, v, c1*u + c2*v + c0, 1),
+because the generator's infinite point is the cone vertex, which codeword
+planes avoid.  So one center lies in each codeword plane, and projecting
+from it sends the codeword's positions onto one line of t = 0: scanning
+the q centers reaches every codeword within the guaranteed radius.  As
+(u, v) is off the arc, no lifted point shares a generator with a center,
+so no projection lands on the vertex direction (0, 0, 1).  The soundness
+argument (any returned word is within (N-3)/2 of the received word) only
+uses the threshold count and the discard rule for lines through the
+vertex direction, so it is unaffected by where the center sits.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .code import CodeSpec, enumerate_codewords, iter_messages, validate_message
-from .geometry import normalize_form, normalize_point, pg2_lines, points_on_line, span_plane
+from .code import CodeSpec, enumerate_codewords, validate_message
+from .geometry import normalize_point, pg2_lines, points_on_line, span_plane
 from .linalg import MatrixFq
 
 
@@ -59,35 +59,11 @@ def validate_word(spec: CodeSpec, r):
 # lifting and projecting
 # ---------------------------------------------------------------------------
 
-def xi_points(spec: CodeSpec):
-    """The planar base arc: one point of z=0 per arc element."""
-    F = spec.tower
-    return [(*F.decompose(l), 0, 1) for l in spec.lam]
-
-
 def lift(spec: CodeSpec, r):
     """The N cone points (lam_i^1, lam_i^2, r_i, 1) encoding the word."""
     r = validate_word(spec, r)
     F = spec.tower
     return [(*F.decompose(l), c, 1) for l, c in zip(spec.lam, r)]
-
-
-def on_cone(spec: CodeSpec, point) -> bool:
-    """Membership in the cone: dropping z must land on the base arc."""
-    x, y, _, t = point
-    return (x, y, 0, t) in set(xi_points(spec))
-
-
-def find_external_line(spec: CodeSpec):
-    """First line of the plane z=0 (fixed enumeration order) avoiding the
-    base arc, or None when no line is external."""
-    F = spec.tower
-    xi = set(xi_points(spec))
-    from .geometry import lines_of_plane
-    for line in lines_of_plane(F, (0, 0, 1, 0)):
-        if not xi.intersection(line):
-            return line
-    return None
 
 
 def project_from(F, P, Q):
@@ -317,19 +293,13 @@ def _max_collinear(F, pts):
 
 
 def _centers(spec: CodeSpec):
-    """Projection centers: affine points of the external line, then the
-    affine points of the cone generator over the first non-arc direction.
-    Returns None when no external line exists."""
+    """Projection centers: the affine points of the cone generator over
+    the first direction not on the base arc."""
     F = spec.tower
-    ell = find_external_line(spec)
-    if ell is None:
-        return None
-    centers = [p for p in ell if p[3] != 0]  # points at infinity are skipped
     in_arc = set(spec.lam)
     g = next(u for u in F.elements() if u not in in_arc)
     u, v = F.decompose(g)
-    centers += [(u, v, w, 1) for w in range(F.q)]
-    return centers
+    return [(u, v, w, 1) for w in range(F.q)]
 
 
 def geometric_decode(spec: CodeSpec, r):
@@ -341,21 +311,9 @@ def geometric_decode(spec: CodeSpec, r):
     r = validate_word(spec, r)
     F = spec.tower
     N = spec.N
-    centers = _centers(spec)
-    if centers is None:
-        # no external line: fall back to the brute-force oracle
-        word, tie = ml_decode(spec, r)
-        plane = codeword_to_plane(spec, word)
-        return DecodeResult(
-            codeword=word,
-            message=plane_to_message(spec, plane),
-            corrected_positions=tuple(i for i in range(N) if word[i] != r[i]),
-            witness={"center": None, "factor": None, "tied_factors": [],
-                     "fallback": "ml", "ml_tie": tie},
-        )
     lifted = lift(spec, r)
 
-    for P in centers:
+    for P in _centers(spec):
         projs = [project_from(F, P, Q)[:3] for Q in lifted]
         # cheap skip: no line can clear the threshold at this center
         if 2 * _max_collinear(F, projs) < N + 3:
@@ -412,9 +370,6 @@ def ml_decode(spec: CodeSpec, r):
 
 
 def ml_decode_message(spec: CodeSpec, r):
-    """ml_decode plus the decoded message (positions share the scan order)."""
+    """ml_decode plus the message of the decoded codeword."""
     word, tie = ml_decode(spec, r)
-    for m, w in zip(iter_messages(spec), enumerate_codewords(spec)):
-        if w == word:
-            return word, m, tie
-    raise AssertionError("unreachable: nearest codeword not in enumeration")
+    return word, plane_to_message(spec, codeword_to_plane(spec, word)), tie

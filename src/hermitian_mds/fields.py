@@ -267,9 +267,6 @@ class FieldTower:
             n >>= 1
         return result
 
-    def q_elements(self):
-        return range(self.q)
-
     # -- GF(q^2) arithmetic on integers in [0, q^2) ---------------------------
 
     def decompose(self, u: int):
@@ -278,15 +275,6 @@ class FieldTower:
 
     def compose(self, u0: int, u1: int) -> int:
         return u0 + self.q * u1
-
-    def int_encode(self, u: int) -> int:
-        """Canonical integer encoding (the representation itself)."""
-        return self.int_decode(u)
-
-    def int_decode(self, i: int) -> int:
-        if not 0 <= i < self.q2:
-            raise FieldError(f"{i} out of range for GF({self.q}^2)")
-        return i
 
     def add(self, a: int, b: int) -> int:
         q = self.q

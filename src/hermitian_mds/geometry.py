@@ -16,11 +16,6 @@ from itertools import permutations
 from .linalg import MatrixFq
 
 
-def identify(F, u):
-    """The point of AG(2,q) corresponding to u = u0 + eps*u1."""
-    return F.decompose(u)
-
-
 def collinear(F, p1, p2, p3):
     """Whether three distinct points of AG(2,q) lie on a common line."""
     if p1 == p2 or p1 == p3 or p2 == p3:
@@ -84,7 +79,7 @@ def _greedy_arc(F, target, node_budget=500_000):
     seen before the node budget runs out.
     """
     q2 = F.q2
-    ids = [identify(F, u) for u in range(q2)]
+    ids = [F.decompose(u) for u in range(q2)]
     best = []
     budget = [node_budget]
 
@@ -230,26 +225,3 @@ def span_plane(F, p1, p2, p3):
     if len(kern) != 1:
         raise ValueError("points are collinear (or coincide); no unique plane")
     return normalize_form(F, kern[0])
-
-
-def lines_of_plane(F, plane):
-    """All lines contained in a plane of PG(3,q).
-
-    Each line is a sorted tuple of its q+1 normalized points.  The order of
-    the list follows pg2_lines applied to the plane's internal coordinates,
-    so it is deterministic.
-    """
-    basis = MatrixFq(F, [list(plane)]).kernel_basis()
-    if len(basis) != 3:
-        raise ValueError("not a plane")
-    lines = []
-    for L in pg2_lines(F):
-        pts = []
-        for cvec in points_on_line(F, L):
-            v = [0, 0, 0, 0]
-            for coef, bvec in zip(cvec, basis):
-                for k in range(4):
-                    v[k] = F.q_add(v[k], F.q_mul(coef, bvec[k]))
-            pts.append(normalize_point(F, v))
-        lines.append(tuple(sorted(pts)))
-    return lines

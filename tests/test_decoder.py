@@ -1,12 +1,13 @@
 """Decoder tests.
 
-The GF(25) reference instance exercises both center families: codewords
-whose plane meets the external line in an affine point decode from the
-first family, constant codewords only from the cone-generator family.
-ml_decode is the independent oracle for every guarantee claim; sampled
-runs use fixed seeds.  The exhaustive sweeps live in the acceptance suite.
+Centers come from one family, the affine points of the cone generator
+over the first point of z = 0 off the base arc; every codeword plane
+contains exactly one of them.  ml_decode is the independent oracle for
+every guarantee claim; sampled runs use fixed seeds.  The q=4 sweep here
+is exhaustive, as are the q=5 sweeps of the acceptance suite.
 """
 
+import itertools
 import random
 
 import pytest
@@ -41,37 +42,18 @@ def test_hamming_distance():
 
 
 def test_lift(ref, spec7):
-    zeros = dec.lift(ref, (0,) * 6)
-    assert zeros == dec.xi_points(ref)
-    ones = dec.lift(ref, (1,) * 6)
-    assert all(p[2] == 1 and p[3] == 1 for p in ones)
     rng = random.Random(1)
-    for _ in range(20):
-        r = tuple(rng.randrange(7) for _ in range(spec7.N))
-        for p in dec.lift(spec7, r):
-            assert dec.on_cone(spec7, p)
+    for spec in (ref, spec7):
+        F = spec.tower
+        words = [(0,) * spec.N, (1,) * spec.N]
+        words += [tuple(rng.randrange(F.q) for _ in range(spec.N)) for _ in range(20)]
+        for r in words:
+            expected = [(*F.decompose(l), c, 1) for l, c in zip(spec.lam, r)]
+            assert dec.lift(spec, r) == expected
     with pytest.raises(ValueError):
         dec.lift(ref, (0,) * 5)
     with pytest.raises(ValueError):
         dec.lift(ref, (0, 0, 0, 0, 0, 5))
-
-
-def test_find_external_line(ref):
-    line = dec.find_external_line(ref)
-    assert line is not None
-    assert len(line) == 6
-    xi = set(dec.xi_points(ref))
-    assert not xi.intersection(line)
-    # count all external lines for a (q+2)-arc at q=4: (q^2 - q)/2 = 6
-    spec4 = cc.construct_code(4)
-    from hermitian_mds.geometry import lines_of_plane
-    xi4 = set(dec.xi_points(spec4))
-    external = [
-        l for l in lines_of_plane(spec4.tower, (0, 0, 1, 0))
-        if not xi4.intersection(l)
-    ]
-    assert dec.find_external_line(spec4) == external[0]
-    assert len(external) == 6
 
 
 def test_project_from(ref):
@@ -98,13 +80,11 @@ def test_project_from(ref):
 
 
 def test_project_from_external_center_never_hits_vertex_direction(ref):
-    # from a center off the base arc, the first two coordinates of a
-    # projected cone point cannot both vanish
+    # every center sits over a point off the base arc, so the first two
+    # coordinates of a projected cone point cannot both vanish
     F = ref.tower
-    line = dec.find_external_line(ref)
-    centers = [p for p in line if p[3] != 0]
     lifted = dec.lift(ref, (3, 1, 4, 1, 0, 2))
-    for P in centers:
+    for P in dec._centers(ref):
         for Q in lifted:
             R = dec.project_from(F, P, Q)
             assert (R[0], R[1]) != (0, 0)
@@ -251,8 +231,8 @@ def test_geometric_decode_zero_errors(ref):
 
 
 def test_geometric_decode_constant_words_use_generator_centers(ref):
-    # the all-ones plane z = t meets z = 0 only at infinity, so no center
-    # on the external line can see it; the cone-generator family must
+    # the all-ones plane z = t meets the cone generator over (0, 0), the
+    # first point off the arc, in its affine point (0, 0, 1, 1)
     res = dec.geometric_decode(ref, (1,) * 6)
     assert res.codeword == (1,) * 6
     assert res.witness["center"] == (0, 0, 1, 1)
@@ -287,6 +267,31 @@ def test_geometric_decode_soundness_beyond_radius(ref):
             assert res is not None and res.codeword == ml_word
         elif res is not None:
             assert dec.hamming_distance(res.codeword, r) <= radius
+
+
+def test_geometric_decode_exhaustive_q4():
+    # every word of GF(4)^6 on the greedy (q+2)-arc: the ML codeword, its
+    # message and its corrected positions within radius, None beyond it
+    spec = cc.construct_code(4)
+    assert spec.N == 6
+    radius = (spec.N - 3) // 2
+    message_of = {cc.encode(spec, m): m for m in cc.iter_messages(spec)}
+    within = 0
+    for r in itertools.product(range(4), repeat=6):
+        best, _tie = dec.ml_decode(spec, r)
+        res = dec.geometric_decode(spec, r)
+        if dec.hamming_distance(best, r) <= radius:
+            within += 1
+            assert res is not None
+            assert res.codeword == best
+            assert res.message == message_of[best]
+            assert res.corrected_positions == tuple(
+                i for i in range(spec.N) if best[i] != r[i]
+            )
+        else:
+            assert res is None
+    # 64 codewords, each with 1 + 6*3 words at distance <= 1
+    assert within == 64 * 19
 
 
 def test_geometric_decode_result_invariants(ref, spec7):
@@ -353,15 +358,3 @@ def test_ml_decode_tie(ref):
     assert tie
     dmin = min(dec.hamming_distance(w, r) for w in words)
     assert best == min(w for w in words if dec.hamming_distance(w, r) == dmin)
-
-
-def test_fallback_when_no_external_line(ref, monkeypatch):
-    # impossible for valid instances (an arc is never a blocking set), so
-    # force the condition to exercise the fallback path
-    monkeypatch.setattr(dec, "find_external_line", lambda spec: None)
-    w = cc.encode(ref, (7, 2))
-    res = dec.geometric_decode(ref, w)
-    assert res is not None
-    assert res.codeword == w
-    assert res.witness.get("fallback") == "ml"
-    assert res.message == (7, 2)

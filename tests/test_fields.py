@@ -213,15 +213,6 @@ def test_decompose_compose_roundtrip(towers):
         assert F.add(u0, F.mul(F.eps, u1)) == u
 
 
-def test_int_encoding_bounds(towers):
-    F = towers[5]
-    assert F.int_encode(24) == 24
-    assert F.int_decode(0) == 0
-    for bad in (-1, 25, 1000):
-        with pytest.raises(FieldError):
-            F.int_decode(bad)
-
-
 def test_pow_edge_cases(towers):
     F = towers[4]
     for a in F.elements():

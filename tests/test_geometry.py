@@ -17,8 +17,6 @@ from hermitian_mds.geometry import (
     build_lambda,
     build_transversal,
     collinear,
-    identify,
-    lines_of_plane,
     normalize_form,
     normalize_point,
     pg2_lines,
@@ -28,6 +26,7 @@ from hermitian_mds.geometry import (
     validate_arc,
     validate_transversal,
 )
+from hermitian_mds.linalg import MatrixFq
 
 REFERENCE_LAMBDA = [23, 12, 11, 7, 18, 19]  # eps^3, eps^4, eps^8, eps^15, eps^16, eps^20
 
@@ -40,14 +39,6 @@ def f5p():
 @pytest.fixture(scope="module")
 def f4():
     return tower_for_q(4)
-
-
-def test_identify(f5p, f4):
-    assert identify(f5p, 0) == (0, 0)
-    assert identify(f5p, 8) == (3, 1)  # eps + 3
-    for u0 in range(4):
-        for u1 in range(4):
-            assert identify(f4, f4.compose(u0, u1)) == (u0, u1)
 
 
 def test_collinear_basic(f5p):
@@ -83,7 +74,7 @@ def test_arc_condition_matches_collinearity():
         for _ in range(200):
             size = rng.choice((3, 4, 5))
             subset = rng.sample(range(F.q2), size)
-            pts = [identify(F, u) for u in subset]
+            pts = [F.decompose(u) for u in subset]
             any_collinear = any(
                 collinear(F, pts[i], pts[j], pts[k])
                 for i in range(size) for j in range(i + 1, size) for k in range(j + 1, size)
@@ -216,32 +207,6 @@ def test_span_plane_roundtrip(f5p):
         if not any(coeffs):
             continue
         plane = normalize_form(F, coeffs)
-        pts = []
-        for line in lines_of_plane(F, plane)[:1]:
-            pts = list(line)
-        # pick a third point of the plane off that line
-        basis = None
-        for cand_line in lines_of_plane(F, plane)[1:]:
-            extra = [p for p in cand_line if p not in pts]
-            if extra:
-                basis = (pts[0], pts[1], extra[0])
-                break
-        assert basis is not None
+        basis = MatrixFq(F, [list(plane)]).kernel_basis()
+        assert len(basis) == 3
         assert span_plane(F, *basis) == plane
-
-
-def test_lines_of_plane_structure(f5p):
-    F = f5p
-    lines = lines_of_plane(F, (0, 0, 1, 0))  # the plane z = 0
-    assert len(lines) == 31
-    pts = set()
-    for line in lines:
-        assert len(line) == 6
-        for (x, y, z, t) in line:
-            assert z == 0
-        pts.update(line)
-    assert len(pts) == 31
-    # two distinct lines of a plane meet in exactly one point
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            assert len(set(lines[i]) & set(lines[j])) == 1
