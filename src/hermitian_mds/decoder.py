@@ -95,19 +95,6 @@ def form_value(F, form, pt):
     return acc
 
 
-def form_mul(F, f, g):
-    out = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            val = F.q_add(out.get(key, 0), F.q_mul(c1, c2))
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
-
-
 def linear_form(triple):
     """The sparse form a*x + b*y + c*z from a coefficient triple."""
     a, b, c = triple

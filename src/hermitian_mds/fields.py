@@ -145,13 +145,18 @@ class FieldTower:
     """
 
     def __init__(self, p: int, h: int = 1, gq=None, gq2=None):
-        if not is_prime(p):
-            raise FieldError(f"p={p} is not prime")
+        # size checks first: is_prime(p) and p ** h grow with p and h
         if h < 1:
             raise FieldError(f"h={h} must be >= 1")
+        if p < 2:
+            raise FieldError(f"p={p} is not prime")
+        if h >= MAX_Q2.bit_length():  # q >= 2^h > MAX_Q2
+            raise FieldError(f"q={p}^{h} unsupported: q^2 exceeds {MAX_Q2}")
         q = p ** h
         if q * q > MAX_Q2:
             raise FieldError(f"q={q} unsupported: q^2 exceeds {MAX_Q2}")
+        if not is_prime(p):
+            raise FieldError(f"p={p} is not prime")
         self.p = p
         self.h = h
         self.q = q
@@ -364,5 +369,7 @@ class FieldTower:
 
 def tower_for_q(q: int, gq=None, gq2=None) -> FieldTower:
     """Build the tower for a prime power q with default or given moduli."""
+    if q * q > MAX_Q2:  # before factoring, whose cost grows with q
+        raise FieldError(f"q={q} unsupported: q^2 exceeds {MAX_Q2}")
     p, h = factor_prime_power(q)
     return FieldTower(p, h, gq=gq, gq2=gq2)

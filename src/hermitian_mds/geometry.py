@@ -1,8 +1,10 @@
 """Affine and projective geometry over GF(q).
 
 GF(q^2) is identified with AG(2,q) through the basis {1, eps}; a subset of
-GF(q^2) is usable as an evaluation support iff it is an arc there, which is
-the power condition checked by arc_condition_holds.  PG(2,q) and PG(3,q)
+GF(q^2) is usable as an evaluation support iff it is an arc there.  The
+paper's power condition for that is tested in one place, _extends_arc, as
+distinct slopes from a new point to the points already chosen; both
+arc_condition_holds and the greedy arc search use it.  PG(2,q) and PG(3,q)
 primitives (normalized points, lines, plane spans) back the decoder.
 
 Points are tuples normalized so the last nonzero coordinate is 1; linear
@@ -11,19 +13,27 @@ nonzero coefficient is 1.  All enumeration orders are fixed so construction
 output is reproducible byte for byte.
 """
 
-from itertools import permutations
-
 from .linalg import MatrixFq
 
 
-def collinear(F, p1, p2, p3):
-    """Whether three distinct points of AG(2,q) lie on a common line."""
-    if p1 == p2 or p1 == p3 or p2 == p3:
-        raise ValueError("collinear needs three distinct points")
-    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
-    a, b = F.q_sub(x2, x1), F.q_sub(y2, y1)
-    c, d = F.q_sub(x3, x1), F.q_sub(y3, y1)
-    return F.q_sub(F.q_mul(a, d), F.q_mul(b, c)) == 0
+def _extends_arc(F, arc, new):
+    """Whether no two elements of arc are collinear with new in AG(2,q).
+
+    This is the paper's power criterion with new as the apex beta: for
+    alpha, gamma != beta, ((alpha-beta)/(gamma-beta))^(q-1) = 1 iff the
+    ratio lies in GF(q)*, iff alpha-beta and gamma-beta are GF(q)-multiples
+    of each other, i.e. have the same slope in AG(2,q).  The slope of
+    d0 + eps*d1 is d1/d0, or q (vertical) when d0 = 0.  Returns False at the
+    first repeated slope.
+    """
+    slopes = set()
+    for alpha in arc:
+        d0, d1 = F.decompose(F.sub(alpha, new))
+        slope = F.q_mul(d1, F.q_inv(d0)) if d0 else F.q
+        if slope in slopes:
+            return False
+        slopes.add(slope)
+    return True
 
 
 def arc_condition_holds(F, lam):
@@ -31,16 +41,13 @@ def arc_condition_holds(F, lam):
 
     True iff ((alpha-beta)/(gamma-beta))^(q-1) != 1 for every ordered triple
     of pairwise-distinct alpha, beta, gamma in lam.  Lists with fewer than
-    three elements pass vacuously; duplicates are rejected.
+    three elements pass vacuously; duplicates are rejected.  Each element is
+    checked as the apex against the ones before it, so the cost is O(N^2).
     """
     lam = list(lam)
     if len(set(lam)) != len(lam):
         raise ValueError("duplicate elements in arc candidate")
-    for alpha, beta, gamma in permutations(lam, 3):
-        ratio = F.mul(F.sub(alpha, beta), F.inv(F.sub(gamma, beta)))
-        if F.pow(ratio, F.q - 1) == 1:
-            return False
-    return True
+    return all(_extends_arc(F, lam[:i], lam[i]) for i in range(len(lam)))
 
 
 def arc_size_bound(F):
@@ -62,16 +69,6 @@ def validate_arc(F, lam):
     return lam
 
 
-def _extends_arc(F, pts, new_pt):
-    # incremental form of the arc condition: no pair of current points is
-    # collinear with the new one (equivalent to the power criterion)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if collinear(F, pts[i], pts[j], new_pt):
-                return False
-    return True
-
-
 def _greedy_arc(F, target, node_budget=500_000):
     """Depth-first extension in integer-encoding order with backtracking.
 
@@ -79,11 +76,10 @@ def _greedy_arc(F, target, node_budget=500_000):
     seen before the node budget runs out.
     """
     q2 = F.q2
-    ids = [F.decompose(u) for u in range(q2)]
     best = []
     budget = [node_budget]
 
-    def dfs(arc, pts, start):
+    def dfs(arc, start):
         if len(arc) > len(best):
             best[:] = arc
         if len(arc) == target:
@@ -91,17 +87,15 @@ def _greedy_arc(F, target, node_budget=500_000):
         for g in range(start, q2):
             if budget[0] <= 0:
                 return False
-            if _extends_arc(F, pts, ids[g]):
+            if _extends_arc(F, arc, g):
                 budget[0] -= 1
                 arc.append(g)
-                pts.append(ids[g])
-                if dfs(arc, pts, g + 1):
+                if dfs(arc, g + 1):
                     return True
                 arc.pop()
-                pts.pop()
         return False
 
-    dfs([], [], 0)
+    dfs([], 0)
     return best
 
 

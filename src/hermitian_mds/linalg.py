@@ -34,9 +34,6 @@ class MatrixFq:
     def ncols(self):
         return len(self.rows[0])
 
-    def copy(self):
-        return MatrixFq(self.field, [r[:] for r in self.rows])
-
     # -- elimination ---------------------------------------------------------
 
     def rref(self):
@@ -109,51 +106,6 @@ class MatrixFq:
             x[pc] = R.rows[i][n]
         return x
 
-    # -- products --------------------------------------------------------------
-
-    def mul_vec(self, v):
-        F = self.field
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            for a, x in zip(r, v):
-                acc = F.q_add(acc, F.q_mul(a, x))
-            out.append(acc)
-        return out
-
-    def mul_mat(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        F = self.field
-        out = []
-        for r in self.rows:
-            row = []
-            for c in cols:
-                acc = 0
-                for a, x in zip(r, c):
-                    acc = F.q_add(acc, F.q_mul(a, x))
-                row.append(acc)
-            out.append(row)
-        return MatrixFq(F, out)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_text(self):
-        return "\n".join(" ".join(str(x) for x in r) for r in self.rows) + "\n"
-
-    @classmethod
-    def from_text(cls, field, text):
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([int(tok) for tok in line.split()])
-        return cls(field, rows)
-
     def __eq__(self, other):
         if not isinstance(other, MatrixFq):
             return NotImplemented
@@ -161,18 +113,3 @@ class MatrixFq:
 
     def __repr__(self):
         return f"MatrixFq({self.nrows}x{self.ncols} over GF({self.field.q}))"
-
-
-def vec_add(field, u, v):
-    return [field.q_add(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(field, s, v):
-    return [field.q_mul(s, x) for x in v]
-
-
-def vec_dot(field, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        acc = field.q_add(acc, field.q_mul(a, b))
-    return acc

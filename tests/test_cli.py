@@ -167,6 +167,19 @@ def test_verify_false_claims_exit_2(tmp_path, capsys):
     assert out.splitlines()[-1].split() == ["verdict", "FAIL"]
 
 
+@pytest.mark.parametrize("params", ["p=1000000000000000003\nh=1\n",
+                                    "p=2\nh=100000000000\ngq=1,1\n"])
+def test_oversized_field_fails_fast(tmp_path, capsys, params):
+    # the size cap is checked before primality or p^h, so these return at once
+    path = tmp_path / "big.code"
+    path.write_text("hermitian-mds v1\n" + params + "gq2=2,4,1\nlambda=0,1,5\ns=0\n")
+    assert main(["verify", "--code", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split()[:2] == ["instance-valid", "FAIL"]
+    assert "unsupported: q^2 exceeds 65536" in out
+    assert main(["encode", "--code", str(path), "--message", "0,0"]) == 1
+
+
 def test_verify_malformed_file_exit_1(tmp_path, capsys):
     path = tmp_path / "junk.code"
     path.write_text("not a header\n")

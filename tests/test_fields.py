@@ -251,6 +251,14 @@ def test_max_size_boundary():
     assert F.mul(F.eps, F.inv(F.eps)) == 1
     with pytest.raises(FieldError):
         tower_for_q(512)
+    # oversized parameters are rejected before primality testing, factoring
+    # or computing p^h, each of which would take minutes at these sizes
+    with pytest.raises(FieldError, match=r"q=1000000007 unsupported: q\^2 exceeds 65536"):
+        tower_for_q(10**9 + 7)
+    with pytest.raises(FieldError, match=r"q=1000000000000000003 unsupported"):
+        FieldTower(10**18 + 3)
+    with pytest.raises(FieldError, match=r"q=2\^100000000000 unsupported"):
+        FieldTower(2, h=10**11)
 
 
 def test_tower_equality_and_repr(towers):

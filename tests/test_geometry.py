@@ -2,21 +2,23 @@
 
 The q=5 instance with modulus X^2 - X + 2 uses the known 6-element arc
 (powers 3, 4, 8, 15, 16, 20 of eps); its integer encodings are frozen here
-as an oracle.  The power criterion and the collinearity criterion are
-cross-checked against each other on random subsets.
+as an oracle.  arc_condition_holds is cross-checked against the paper's
+power criterion written out literally here, exhaustively on small subsets
+at q=3 and q=4 and on seeded subsets up to the size bound beyond.
 """
 
+import itertools
 import random
 
 import pytest
 
+from hermitian_mds import code as cc
 from hermitian_mds.fields import FieldTower, tower_for_q
 from hermitian_mds.geometry import (
     arc_condition_holds,
     arc_size_bound,
     build_lambda,
     build_transversal,
-    collinear,
     normalize_form,
     normalize_point,
     pg2_lines,
@@ -41,13 +43,6 @@ def f4():
     return tower_for_q(4)
 
 
-def test_collinear_basic(f5p):
-    assert collinear(f5p, (0, 0), (1, 0), (2, 0))
-    assert not collinear(f5p, (0, 0), (1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        collinear(f5p, (0, 0), (0, 0), (1, 1))
-
-
 def test_arc_condition_small_sets(f5p):
     assert arc_condition_holds(f5p, [])
     assert arc_condition_holds(f5p, [3])
@@ -66,20 +61,42 @@ def test_arc_condition_rejects_subfield_points(f5p):
     assert not arc_condition_holds(f5p, [0, 1, 2])
 
 
+def power_criterion(F, subset):
+    # the paper's condition, literally: no ordered triple of distinct
+    # elements has ((alpha-beta)/(gamma-beta))^(q-1) = 1
+    for alpha, beta, gamma in itertools.permutations(subset, 3):
+        ratio = F.mul(F.sub(alpha, beta), F.inv(F.sub(gamma, beta)))
+        if F.pow(ratio, F.q - 1) == 1:
+            return False
+    return True
+
+
 def test_arc_condition_matches_collinearity():
-    # the power criterion and the no-3-collinear criterion must agree
-    for q in (4, 5, 7):
+    # the slope test behind arc_condition_holds must agree with the power
+    # criterion: every 3- and 4-subset at q=3 and q=4 ...
+    for q in (3, 4):
         F = tower_for_q(q)
+        for size in (3, 4):
+            for subset in itertools.combinations(range(F.q2), size):
+                assert arc_condition_holds(F, subset) == power_criterion(F, subset)
+    # ... and seeded subsets of every size 3..q+2 beyond: random ones (rarely
+    # arcs), subsets of the default arc (always arcs) and those with one
+    # element swapped out (either)
+    for q in (5, 7, 8, 9):
+        F = tower_for_q(q)
+        lam = cc.construct_code(q).lam
         rng = random.Random(q)
-        for _ in range(200):
-            size = rng.choice((3, 4, 5))
-            subset = rng.sample(range(F.q2), size)
-            pts = [F.decompose(u) for u in subset]
-            any_collinear = any(
-                collinear(F, pts[i], pts[j], pts[k])
-                for i in range(size) for j in range(i + 1, size) for k in range(j + 1, size)
-            )
-            assert arc_condition_holds(F, subset) == (not any_collinear)
+        for size in range(3, q + 3):
+            for _ in range(10):
+                subsets = [rng.sample(range(F.q2), size)]
+                if size <= len(lam):
+                    near = rng.sample(lam, size)
+                    subsets.append(list(near))
+                    outside = [g for g in range(F.q2) if g not in near]
+                    near[rng.randrange(size)] = rng.choice(outside)
+                    subsets.append(near)
+                for subset in subsets:
+                    assert arc_condition_holds(F, subset) == power_criterion(F, subset)
 
 
 def test_build_lambda_explicit(f5p):
@@ -116,8 +133,10 @@ def test_build_lambda_greedy(f4):
     lam = build_lambda(f4, "greedy")
     assert len(lam) == 6  # q + 2 reachable in even characteristic
     assert lam == [0, 1, 4, 6, 9, 10]  # deterministic search order
-    lam8 = build_lambda(tower_for_q(8), "greedy")
-    assert len(lam8) == 10
+    assert build_lambda(tower_for_q(8), "greedy") == [0, 1, 8, 9, 20, 22, 34, 38, 50, 52]
+    # the decode-beyond benchmark instance
+    assert build_lambda(tower_for_q(16), "greedy") == [
+        0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236]
 
 
 def test_build_lambda_unknown_strategy(f5p):

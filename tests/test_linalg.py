@@ -10,7 +10,7 @@ import random
 import pytest
 
 from hermitian_mds.fields import tower_for_q
-from hermitian_mds.linalg import MatrixFq, vec_add, vec_dot, vec_scale
+from hermitian_mds.linalg import MatrixFq
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,18 @@ def f5():
 @pytest.fixture(scope="module")
 def f4():
     return tower_for_q(4)
+
+
+def mul_vec(A, v):
+    """A @ v over GF(q), the product the kernel and solve checks rest on."""
+    F = A.field
+    out = []
+    for r in A.rows:
+        acc = 0
+        for a, x in zip(r, v, strict=True):
+            acc = F.q_add(acc, F.q_mul(a, x))
+        out.append(acc)
+    return out
 
 
 def random_matrix(F, m, n, rng):
@@ -57,7 +69,7 @@ def test_kernel_basis_annihilated(f5, f4):
                 basis = A.kernel_basis()
                 assert len(basis) == n - A.rank()  # rank-nullity
                 for v in basis:
-                    assert A.mul_vec(v) == [0] * m
+                    assert mul_vec(A, v) == [0] * m
                 # canonical: vector j has 1 in its own free column and 0 in
                 # every other free column
                 _, pivots = A.rref()
@@ -76,12 +88,12 @@ def test_kernel_spans_all_solutions(f5):
     span = set()
     for c0 in range(5):
         for c1 in range(5):
-            v = vec_add(F, vec_scale(F, c0, basis[0]), vec_scale(F, c1, basis[1]))
-            span.add(tuple(v))
+            span.add(tuple(F.q_add(F.q_mul(c0, a), F.q_mul(c1, b))
+                           for a, b in zip(basis[0], basis[1])))
     brute = {
         (a, b, c, d)
         for a in range(5) for b in range(5) for c in range(5) for d in range(5)
-        if A.mul_vec([a, b, c, d]) == [0, 0]
+        if mul_vec(A, [a, b, c, d]) == [0, 0]
     }
     assert span == brute
 
@@ -90,7 +102,7 @@ def test_solve(f5):
     A = MatrixFq(f5, [[1, 2], [3, 4]])
     x = A.solve([4, 1])
     assert x is not None
-    assert A.mul_vec(x) == [4, 1]
+    assert mul_vec(A, x) == [4, 1]
     # inconsistent: second row is 2x first but targets are not
     B = MatrixFq(f5, [[1, 2], [2, 4]])
     assert B.solve([1, 3]) is None
@@ -102,28 +114,10 @@ def test_solve_random_consistency(f4):
     for _ in range(50):
         A = random_matrix(f4, 3, 4, rng)
         x_true = [rng.randrange(4) for _ in range(4)]
-        b = A.mul_vec(x_true)
+        b = mul_vec(A, x_true)
         x = A.solve(b)
         assert x is not None
-        assert A.mul_vec(x) == b
-
-
-def test_mul_mat_associative(f5):
-    rng = random.Random(17)
-    A = random_matrix(f5, 2, 3, rng)
-    B = random_matrix(f5, 3, 4, rng)
-    C = random_matrix(f5, 4, 2, rng)
-    assert A.mul_mat(B).mul_mat(C).rows == A.mul_mat(B.mul_mat(C)).rows
-
-
-def test_text_roundtrip(f5):
-    A = MatrixFq(f5, [[0, 1, 2], [3, 4, 0]])
-    text = A.to_text()
-    assert text == "0 1 2\n3 4 0\n"
-    B = MatrixFq.from_text(f5, text)
-    assert B == A
-    # blank lines are tolerated on input
-    assert MatrixFq.from_text(f5, "\n0 1 2\n\n3 4 0\n") == A
+        assert mul_vec(A, x) == b
 
 
 def test_validation(f5):
@@ -135,12 +129,5 @@ def test_validation(f5):
         MatrixFq(f5, [[5, 0]])
     A = MatrixFq(f5, [[1, 2]])
     with pytest.raises(ValueError):
-        A.mul_vec([1, 2, 3])
-    with pytest.raises(ValueError):
         A.solve([1, 2])
 
-
-def test_vec_helpers(f5):
-    assert vec_add(f5, [1, 4], [2, 3]) == [3, 2]
-    assert vec_scale(f5, 2, [1, 4]) == [2, 3]
-    assert vec_dot(f5, [1, 2], [3, 4]) == (3 + 8) % 5
