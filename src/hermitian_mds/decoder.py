@@ -284,7 +284,9 @@ def _centers(spec: CodeSpec):
     the first direction not on the base arc."""
     F = spec.tower
     in_arc = set(spec.lam)
-    g = next(u for u in F.elements() if u not in in_arc)
+    g = next((u for u in F.elements() if u not in in_arc), None)
+    if g is None:
+        raise ValueError("no projection center: the arc covers GF(q^2)")
     u, v = F.decompose(g)
     return [(u, v, w, 1) for w in range(F.q)]
 

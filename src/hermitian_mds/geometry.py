@@ -2,10 +2,13 @@
 
 GF(q^2) is identified with AG(2,q) through the basis {1, eps}; a subset of
 GF(q^2) is usable as an evaluation support iff it is an arc there.  The
-paper's power condition for that is tested in one place, _extends_arc, as
-distinct slopes from a new point to the points already chosen; both
-arc_condition_holds and the greedy arc search use it.  PG(2,q) and PG(3,q)
-primitives (normalized points, lines, plane spans) back the decoder.
+paper's power condition for that is tested as distinct slopes from a new
+point to the points already chosen (_extends_arc, behind
+arc_condition_holds).  The slope of a direction is computed by one formula,
+_slope, shared by _extends_arc and by the secant counts of the greedy arc
+search, which blocks every point on a line through two chosen points.
+PG(2,q) and PG(3,q) primitives (normalized points, lines, plane spans) back
+the decoder.
 
 Points are tuples normalized so the last nonzero coordinate is 1; linear
 forms (lines, planes) are coefficient tuples normalized so the first
@@ -16,20 +19,24 @@ output is reproducible byte for byte.
 from .linalg import MatrixFq
 
 
+def _slope(F, d):
+    """AG(2,q) slope of the direction d = d0 + eps*d1: d1/d0, or q if d0 = 0."""
+    d0, d1 = F.decompose(d)
+    return F.q_mul(d1, F.q_inv(d0)) if d0 else F.q
+
+
 def _extends_arc(F, arc, new):
     """Whether no two elements of arc are collinear with new in AG(2,q).
 
     This is the paper's power criterion with new as the apex beta: for
     alpha, gamma != beta, ((alpha-beta)/(gamma-beta))^(q-1) = 1 iff the
     ratio lies in GF(q)*, iff alpha-beta and gamma-beta are GF(q)-multiples
-    of each other, i.e. have the same slope in AG(2,q).  The slope of
-    d0 + eps*d1 is d1/d0, or q (vertical) when d0 = 0.  Returns False at the
-    first repeated slope.
+    of each other, i.e. have the same _slope in AG(2,q).  Returns False at
+    the first repeated slope.
     """
     slopes = set()
     for alpha in arc:
-        d0, d1 = F.decompose(F.sub(alpha, new))
-        slope = F.q_mul(d1, F.q_inv(d0)) if d0 else F.q
+        slope = _slope(F, F.sub(alpha, new))
         if slope in slopes:
             return False
         slopes.add(slope)
@@ -73,11 +80,34 @@ def _greedy_arc(F, target, node_budget=500_000):
     """Depth-first extension in integer-encoding order with backtracking.
 
     Stops at the first arc of the target size, else returns the largest arc
-    seen before the node budget runs out.
+    seen before the node budget runs out.  on_secant[u] counts the lines
+    through two points of the current arc that contain u, so u extends the
+    arc (_extends_arc) iff the count is 0; each line's q points are built
+    once per search, keyed by (slope, intercept).
     """
-    q2 = F.q2
+    q, q2 = F.q, F.q2
     best = []
     budget = [node_budget]
+    on_secant = [0] * q2
+    lines = {}
+
+    def secants(arc, g):
+        g0, g1 = F.decompose(g)
+        out = []
+        for alpha in arc:
+            slope = _slope(F, F.sub(alpha, g))
+            # the line is x = c when vertical, else y = slope*x + c
+            c = g0 if slope == q else F.q_sub(g1, F.q_mul(slope, g0))
+            if (slope, c) not in lines:
+                lines[slope, c] = ([F.compose(c, y) for y in range(q)] if slope == q else
+                                   [F.compose(x, F.q_add(F.q_mul(slope, x), c)) for x in range(q)])
+            out.append(lines[slope, c])
+        return out
+
+    def bump(secs, step):
+        for pts in secs:
+            for u in pts:
+                on_secant[u] += step
 
     def dfs(arc, start):
         if len(arc) > len(best):
@@ -87,12 +117,15 @@ def _greedy_arc(F, target, node_budget=500_000):
         for g in range(start, q2):
             if budget[0] <= 0:
                 return False
-            if _extends_arc(F, arc, g):
+            if not on_secant[g]:
                 budget[0] -= 1
+                secs = secants(arc, g)
+                bump(secs, 1)
                 arc.append(g)
                 if dfs(arc, g + 1):
                     return True
                 arc.pop()
+                bump(secs, -1)
         return False
 
     dfs([], 0)

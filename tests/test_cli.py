@@ -118,6 +118,20 @@ def test_decode_malformed_word(ref_path, capsys):
     assert main(["decode", "--code", ref_path, "--word", "1,1,1,1,1,9"]) == 1
 
 
+def test_q2_default_arc_leaves_no_center(tmp_path, capsys):
+    # the default q=2 arc is all of GF(4), so the geometric decoder has no
+    # projection center: a clean input error, while ML decoding still works
+    path = str(tmp_path / "q2.code")
+    assert main(["construct", "--q", "2", "--out", path]) == 0
+    assert main(["decode", "--code", path, "--word", "0,0,0,1"]) == 1
+    assert capsys.readouterr().err.startswith("error: no projection center")
+    assert main(["simulate", "--code", path, "--errors", "1",
+                 "--trials", "3", "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: no projection center")
+    assert main(["decode", "--code", path, "--word", "0,0,0,1",
+                 "--method", "ml"]) == 0
+
+
 def test_weights_table_frozen(ref_path, capsys):
     assert main(["weights", "--code", ref_path]) == 0
     assert capsys.readouterr().out == (

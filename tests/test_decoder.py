@@ -308,6 +308,14 @@ def test_geometric_decode_exhaustive_q4():
     assert within == 64 * 19
 
 
+def test_geometric_decode_needs_a_point_off_the_arc():
+    # the default q=2 arc is all of GF(4): no cone generator to center on
+    spec = cc.construct_code(2)
+    assert sorted(spec.lam) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="no projection center"):
+        dec.geometric_decode(spec, (0, 0, 0, 1))
+
+
 def test_geometric_decode_result_invariants(ref, spec7):
     F7 = spec7.tower
     rng = random.Random(3)

@@ -4,7 +4,9 @@ The q=5 instance with modulus X^2 - X + 2 uses the known 6-element arc
 (powers 3, 4, 8, 15, 16, 20 of eps); its integer encodings are frozen here
 as an oracle.  arc_condition_holds is cross-checked against the paper's
 power criterion written out literally here, exhaustively on small subsets
-at q=3 and q=4 and on seeded subsets up to the size bound beyond.
+at q=3 and q=4 and on seeded subsets up to the size bound beyond.  The
+greedy arc search, which tracks secant lines incrementally, is checked
+against the same depth-first search written with arc_condition_holds.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import pytest
 from hermitian_mds import code as cc
 from hermitian_mds.fields import FieldTower, tower_for_q
 from hermitian_mds.geometry import (
+    _greedy_arc,
     arc_condition_holds,
     arc_size_bound,
     build_lambda,
@@ -137,6 +140,46 @@ def test_build_lambda_greedy(f4):
     # the decode-beyond benchmark instance
     assert build_lambda(tower_for_q(16), "greedy") == [
         0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236]
+
+
+def reference_greedy(F, target, node_budget):
+    # the search spelled out: depth-first in integer order, each candidate
+    # tested by the full arc condition, the budget checked before every
+    # candidate and charged one unit per accepted extension
+    best = []
+    budget = node_budget
+
+    def dfs(arc, start):
+        nonlocal budget
+        if len(arc) > len(best):
+            best[:] = arc
+        if len(arc) == target:
+            return True
+        for g in range(start, F.q2):
+            if budget <= 0:
+                return False
+            if arc_condition_holds(F, arc + [g]):
+                budget -= 1
+                if dfs(arc + [g], g + 1):
+                    return True
+        return False
+
+    dfs([], 0)
+    return best
+
+
+def test_greedy_arc_matches_reference_search():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        F = tower_for_q(q)
+        target = arc_size_bound(F)
+        assert _greedy_arc(F, target) == reference_greedy(F, target, 500_000)
+    # budgets that run out at the root, on the first levels and mid-search
+    for q in (13, 16):
+        F = tower_for_q(q)
+        target = arc_size_bound(F)
+        for budget in (0, 1, 2, 3, 50, 1000):
+            assert (_greedy_arc(F, target, node_budget=budget)
+                    == reference_greedy(F, target, budget))
 
 
 def test_build_lambda_unknown_strategy(f5p):
