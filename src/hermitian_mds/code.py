@@ -13,6 +13,7 @@ code is q-ary, has q^3 words, dimension 3 and minimum distance N-2; all of
 that is re-verified by enumeration rather than assumed.
 """
 
+import functools
 import math
 from itertools import combinations
 
@@ -46,6 +47,12 @@ class CodeSpec:
     Validates the arc, the transversal, and the 2x2 trace pairing on the
     basis {1, eps} (the decoder inverts that pairing, so a degenerate one
     would be fatal; for a separable extension it never is).
+
+    Holds the plane basis of the code: coords[i] = (lam_i^1, lam_i^2), the
+    components of lam_i, so the codeword of the plane z = c1*x + c2*y + c0
+    has symbols c1*lam_i^1 + c2*lam_i^2 + c0; and gram_inv, the inverse of
+    the trace pairing, which takes (c1, c2) = (T(x), T(eps*x)) back to the
+    components of x.
     """
 
     def __init__(self, tower: FieldTower, lam, s):
@@ -53,6 +60,7 @@ class CodeSpec:
         self.lam = validate_arc(tower, lam)
         self.s = validate_transversal(tower, s)
         self.N = len(self.lam)
+        self.coords = [tower.decompose(l) for l in self.lam]
         self.s_by_trace = {tower.trace(y): y for y in self.s}
         self.s_set = frozenset(self.s)
         self.s0 = self.s_by_trace[0]
@@ -62,8 +70,20 @@ class CodeSpec:
         det = tower.q_sub(tower.q_mul(g11, g22), tower.q_mul(g12, g12))
         if det == 0:
             raise ValueError("degenerate trace pairing on {1, eps}")
-        self.trace_gram = ((g11, g12), (g12, g22))
-        self._codewords = None
+        d = tower.q_inv(det)
+        off = tower.q_neg(tower.q_mul(d, g12))
+        self.gram_inv = ((tower.q_mul(d, g22), off), (off, tower.q_mul(d, g11)))
+
+    @functools.cached_property
+    def codewords(self):
+        """All q^3 codewords, in iter_messages order."""
+        q = self.tower.q
+        if q ** 3 > ENUMERATION_BUDGET:
+            raise ValueError(f"enumeration budget exceeded for q={q}")
+        words = [encode(self, m) for m in iter_messages(self)]
+        if len(set(words)) != q ** 3:
+            raise AssertionError("encoding is not injective on the domain")
+        return words
 
     def __eq__(self, other):
         if not isinstance(other, CodeSpec):
@@ -112,31 +132,14 @@ def iter_messages(spec: CodeSpec):
 
 def enumerate_codewords(spec: CodeSpec):
     """All q^3 codewords, in iter_messages order (cached on the instance)."""
-    if spec._codewords is None:
-        q = spec.tower.q
-        if q ** 3 > ENUMERATION_BUDGET:
-            raise ValueError(f"enumeration budget exceeded for q={q}")
-        words = [encode(spec, m) for m in iter_messages(spec)]
-        if len(set(words)) != q ** 3:
-            raise AssertionError("encoding is not injective on the domain")
-        spec._codewords = words
-    return spec._codewords
+    return spec.codewords
 
 
 def generator_matrix(spec: CodeSpec) -> MatrixFq:
-    """Canonical 3xN generator: first three independent codewords in scan
-    order, row-reduced to rref."""
-    F = spec.tower
-    rows = []
-    for m in iter_messages(spec):
-        cand = rows + [list(encode(spec, m))]
-        if MatrixFq(F, cand).rank() == len(cand):
-            rows = cand
-            if len(rows) == 3:
-                break
-    if len(rows) < 3:
-        raise ValueError("code has rank < 3; spec is broken")
-    return MatrixFq(F, rows).rref()[0]
+    """Canonical 3xN generator: the rref of the codewords [lam_i^1],
+    [lam_i^2] and [1] of the planes (1,0,0), (0,1,0) and (0,0,1)."""
+    l1, l2 = zip(*spec.coords)
+    return MatrixFq(spec.tower, [l1, l2, [1] * spec.N]).rref()[0]
 
 
 def min_distance(spec: CodeSpec) -> int:

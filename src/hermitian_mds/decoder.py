@@ -62,8 +62,7 @@ def validate_word(spec: CodeSpec, r):
 def lift(spec: CodeSpec, r):
     """The N cone points (lam_i^1, lam_i^2, r_i, 1) encoding the word."""
     r = validate_word(spec, r)
-    F = spec.tower
-    return [(*F.decompose(l), c, 1) for l, c in zip(spec.lam, r)]
+    return [(l1, l2, c, 1) for (l1, l2), c in zip(spec.coords, r)]
 
 
 def project_from(F, P, Q):
@@ -84,28 +83,6 @@ def project_from(F, P, Q):
 def monomials(e: int):
     """Degree-e exponent triples (i,j,k), lexicographically descending."""
     return [(i, j, e - i - j) for i in range(e, -1, -1) for j in range(e - i, -1, -1)]
-
-
-def form_value(F, form, pt):
-    x, y, z = pt
-    acc = 0
-    for (i, j, k), coef in form.items():
-        term = F.q_mul(coef, F.q_mul(F.q_pow(x, i), F.q_mul(F.q_pow(y, j), F.q_pow(z, k))))
-        acc = F.q_add(acc, term)
-    return acc
-
-
-def linear_form(triple):
-    """The sparse form a*x + b*y + c*z from a coefficient triple."""
-    a, b, c = triple
-    out = {}
-    if a:
-        out[(1, 0, 0)] = a
-    if b:
-        out[(0, 1, 0)] = b
-    if c:
-        out[(0, 0, 1)] = c
-    return out
 
 
 def fit_min_degree_curve(F, points):
@@ -203,15 +180,12 @@ def message_to_plane(spec: CodeSpec, m):
 
 
 def plane_to_message(spec: CodeSpec, plane):
-    """Invert message_to_plane: solve the trace pairing for x, then pick
-    the transversal representative for y."""
+    """Invert message_to_plane: x from the inverse trace pairing, then the
+    transversal representative for y."""
     F = spec.tower
     c1, c2, c0 = plane
-    G = MatrixFq(F, [list(spec.trace_gram[0]), list(spec.trace_gram[1])])
-    sol = G.solve([c1, c2])
-    if sol is None:
-        raise ValueError("degenerate trace pairing")  # ruled out at construction
-    x = F.compose(sol[0], sol[1])
+    x0, x1 = (F.q_add(F.q_mul(a, c1), F.q_mul(b, c2)) for a, b in spec.gram_inv)
+    x = F.compose(x0, x1)
     y = spec.s_by_trace[F.q_sub(c0, F.norm(x))]
     return (x, y)
 
@@ -220,22 +194,15 @@ def plane_to_codeword(spec: CodeSpec, plane):
     """Symbols c1*lam_i^1 + c2*lam_i^2 + c0: the plane's cone section."""
     F = spec.tower
     c1, c2, c0 = plane
-    out = []
-    for l in spec.lam:
-        l1, l2 = F.decompose(l)
-        out.append(F.q_add(F.q_add(F.q_mul(c1, l1), F.q_mul(c2, l2)), c0))
-    return tuple(out)
+    return tuple(F.q_add(F.q_add(F.q_mul(c1, l1), F.q_mul(c2, l2)), c0)
+                 for l1, l2 in spec.coords)
 
 
 def codeword_to_plane(spec: CodeSpec, w):
     """Recover (c1, c2, c0) from a codeword; raises if w is not in the code."""
     F = spec.tower
     w = validate_word(spec, w)
-    rows = []
-    for l in spec.lam:
-        l1, l2 = F.decompose(l)
-        rows.append([l1, l2, 1])
-    sol = MatrixFq(F, rows).solve(list(w))
+    sol = MatrixFq(F, [(l1, l2, 1) for l1, l2 in spec.coords]).solve(list(w))
     if sol is None or plane_to_codeword(spec, tuple(sol)) != w:
         raise ValueError("word is not a codeword")
     return tuple(sol)
@@ -308,7 +275,7 @@ def geometric_decode(spec: CodeSpec, r):
         if 2 * _max_collinear(F, projs) < N + 3:
             continue
         _, forms = fit_min_degree_curve(F, projs)
-        hits = []
+        hits = {}  # heavy line -> its points
         for form in forms:
             factors, _ = extract_linear_factors(F, form)
             for L in dict.fromkeys(factors):
@@ -318,14 +285,14 @@ def geometric_decode(spec: CodeSpec, r):
                     continue
                 if L in hits:
                     continue
-                n = sum(1 for p in projs if form_value(F, linear_form(L), p) == 0)
-                if 2 * n >= N + 3:
-                    hits.append(L)
+                line_pts = points_on_line(F, L)
+                on_line = set(line_pts)
+                if 2 * sum(1 for p in projs if p in on_line) >= N + 3:
+                    hits[L] = line_pts
         if not hits:
             continue
-        L = hits[0]
-        line_pts = [(x, y, z, 0) for (x, y, z) in points_on_line(F, L)]
-        plane4 = span_plane(F, P, line_pts[0], line_pts[1])
+        L, line_pts = next(iter(hits.items()))
+        plane4 = span_plane(F, P, (*line_pts[0], 0), (*line_pts[1], 0))
         A, B, C, D = plane4
         assert C != 0, "candidate plane contains the cone vertex"
         s = F.q_neg(F.q_inv(C))
@@ -335,7 +302,7 @@ def geometric_decode(spec: CodeSpec, r):
             codeword=word,
             message=plane_to_message(spec, plane),
             corrected_positions=tuple(i for i in range(N) if word[i] != r[i]),
-            witness={"center": P, "factor": L, "tied_factors": hits[1:]},
+            witness={"center": P, "factor": L, "tied_factors": list(hits)[1:]},
         )
     return None
 

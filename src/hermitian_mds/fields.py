@@ -93,19 +93,9 @@ def _poly_irreducible(m, p: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for enc in range(p ** d):
-            div = _int_to_poly(enc, p) + [0] * (d - _poly_deg_len(enc, p)) + [1]
-            # div has degree exactly d and is monic
-            if not _poly_mod(m, div, p):
+            if not _poly_mod(m, _monic(enc, p, d), p):
                 return False
     return True
-
-
-def _poly_deg_len(enc: int, p: int) -> int:
-    n = 0
-    while enc:
-        enc //= p
-        n += 1
-    return n
 
 
 def _int_to_poly(enc: int, p: int):
@@ -123,12 +113,17 @@ def _poly_to_int(a, p: int) -> int:
     return out
 
 
+def _monic(enc: int, p: int, d: int):
+    """The monic degree-d polynomial whose lower d coefficients encode to enc."""
+    low = _int_to_poly(enc, p)
+    return low + [0] * (d - len(low)) + [1]
+
+
 def smallest_irreducible(p: int, degree: int):
     """Monic irreducible of given degree over GF(p) with the smallest
     integer-encoded list of non-leading coefficients."""
     for enc in range(p ** degree):
-        low = _int_to_poly(enc, p)
-        m = low + [0] * (degree - len(low)) + [1]
+        m = _monic(enc, p, degree)
         if _poly_irreducible(m, p):
             return m
     raise FieldError(f"no irreducible of degree {degree} over GF({p})")  # unreachable
@@ -192,12 +187,8 @@ class FieldTower:
         self._r1 = self.q_neg(gq2[1])
         self.eps = q  # integer encoding of (0, 1)
         self.eps_q = self.pow(self.eps, q)  # Frobenius image of eps
-        # trace is GF(q)-linear: T(u0 + eps*u1) = u0*T(1) + u1*T(eps)
-        self._t1 = self.q_add(1, 1) if q % 2 else 0
-        te = self.add(self.eps_q, self.eps)
-        if te >= q:
+        if self.add(self.eps_q, self.eps) >= q:
             raise FieldError("trace(eps) not in GF(q); broken modulus")
-        self._te = te
 
     # -- construction helpers ------------------------------------------------
 

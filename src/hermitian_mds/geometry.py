@@ -132,7 +132,7 @@ def _greedy_arc(F, target, node_budget=500_000):
     return best
 
 
-def build_lambda(F, strategy, values=None, c=1, target=None):
+def build_lambda(F, strategy, values=None, c=1):
     """Construct an ordered arc in GF(q^2).
 
     strategy 'explicit': validate the given values as-is (order preserved).
@@ -150,9 +150,7 @@ def build_lambda(F, strategy, values=None, c=1, target=None):
         lam = [u for u in F.elements() if F.norm(u) == c]
         return validate_arc(F, lam)
     if strategy == "greedy":
-        if target is None:
-            target = arc_size_bound(F)
-        lam = _greedy_arc(F, target)
+        lam = _greedy_arc(F, arc_size_bound(F))
         if len(lam) < 3:
             raise ValueError("greedy search found no arc of size >= 3")
         return validate_arc(F, lam)
@@ -162,6 +160,8 @@ def build_lambda(F, strategy, values=None, c=1, target=None):
 def validate_transversal(F, s):
     """Raise unless trace restricted to s is a bijection onto GF(q)."""
     s = list(s)
+    if any(not 0 <= u < F.q2 for u in s):
+        raise ValueError("transversal elements must be canonical GF(q^2) integers")
     if len(s) != F.q:
         raise ValueError(f"transversal must have exactly q={F.q} elements")
     traces = [F.trace(x) for x in s]

@@ -18,6 +18,16 @@ from hermitian_mds.geometry import normalize_form
 from hermitian_mds.linalg import MatrixFq
 
 
+def form_value(F, form, pt):
+    """Value of a sparse form {(i, j, k): coefficient} at a point (x, y, z)."""
+    x, y, z = pt
+    acc = 0
+    for (i, j, k), coef in form.items():
+        term = F.q_mul(coef, F.q_mul(F.q_pow(x, i), F.q_mul(F.q_pow(y, j), F.q_pow(z, k))))
+        acc = F.q_add(acc, term)
+    return acc
+
+
 def form_mul(F, f, g):
     """Product of two sparse forms {(i, j, k): coefficient}."""
     out = {}
@@ -130,7 +140,7 @@ def test_fit_min_degree_curve_general_position(ref):
     assert e == 2
     for form in forms:
         for p in pts:
-            assert dec.form_value(F, form, p) == 0
+            assert form_value(F, form, p) == 0
 
 
 def test_fit_vanishes_on_inputs(ref):
@@ -144,7 +154,7 @@ def test_fit_vanishes_on_inputs(ref):
         for form in forms:
             assert any(form.values())
             for p in pts:
-                assert dec.form_value(F, form, p) == 0
+                assert form_value(F, form, p) == 0
 
 
 def test_extract_linear_factors_basic(ref):
@@ -196,7 +206,8 @@ def test_factorization_product_identity():
             factors, cofactor = dec.extract_linear_factors(F, form)
             product = dict(cofactor)
             for L in factors:
-                product = form_mul(F, product, dec.linear_form(L))
+                linear = {m: c for m, c in zip(dec.monomials(1), L) if c}
+                product = form_mul(F, product, linear)
             assert product == form
 
 
@@ -208,7 +219,9 @@ def test_plane_message_codeword_trivial(ref):
 
 
 def test_plane_roundtrips_exhaustive():
-    for q in (4, 5):
+    # q = 7, 8, 9 take the inverse trace pairing through the GF(7), GF(2^3)
+    # and GF(3^2) towers as well
+    for q in (4, 5, 7, 8, 9):
         spec = cc.construct_code(q)
         # message -> plane -> message, and plane codeword = encoding
         for m in cc.iter_messages(spec):
@@ -354,6 +367,53 @@ def test_geometric_decode_two_errors_q7(spec7):
         res = dec.geometric_decode(spec7, tuple(r))
         assert res is not None and res.codeword == w
         assert sorted(res.corrected_positions) == sorted((i, j))
+
+
+def test_geometric_decode_sampled_q8():
+    # even q: the greedy 10-arc at q=8, radius t = 3.  Up to t errors the
+    # sent codeword, its message and the error positions come back; at t+1
+    # and t+2 errors the result is the ML codeword if one lies within t of
+    # the word, and FAIL otherwise
+    spec = cc.construct_code(8)
+    F = spec.tower
+    t = (spec.N - 3) // 2
+    assert (spec.N, t) == (10, 3)
+    msgs = list(cc.iter_messages(spec))
+    rng = random.Random(8)
+    for weight in range(t + 3):
+        for _ in range(60):
+            m = msgs[rng.randrange(len(msgs))]
+            w = cc.encode(spec, m)
+            r = list(w)
+            errors = tuple(sorted(rng.sample(range(spec.N), weight)))
+            for pos in errors:
+                r[pos] = F.q_add(r[pos], rng.randrange(1, F.q))
+            res = dec.geometric_decode(spec, tuple(r))
+            if weight <= t:
+                assert res is not None
+                assert (res.codeword, res.message, res.corrected_positions) == (w, m, errors)
+                continue
+            best, _tie = dec.ml_decode(spec, r)
+            if dec.hamming_distance(best, r) <= t:
+                assert res is not None and res.codeword == best
+                assert cc.encode(spec, res.message) == best
+            else:
+                assert res is None
+    # t+1 errors never land within t of another codeword (d = N-2 = 2t+2)
+    # and random t+2 errors rarely do, so steer t+2 errors onto a codeword
+    # at distance N-2
+    lowest = [c for c in cc.enumerate_codewords(spec) if sum(map(bool, c)) == spec.N - 2]
+    for _ in range(30):
+        w = cc.encode(spec, msgs[rng.randrange(len(msgs))])
+        near = tuple(F.q_add(a, b) for a, b in zip(w, lowest[rng.randrange(len(lowest))]))
+        support = [i for i in range(spec.N) if near[i] != w[i]]
+        r = list(w)
+        for pos in rng.sample(support, t + 2):
+            r[pos] = near[pos]
+        assert dec.ml_decode(spec, r)[0] == near
+        res = dec.geometric_decode(spec, tuple(r))
+        assert res is not None and res.codeword == near
+        assert res.corrected_positions == tuple(i for i in range(spec.N) if near[i] != r[i])
 
 
 def test_ml_decode(ref):

@@ -222,6 +222,9 @@ def test_validate_transversal_rejects(f5p):
     with pytest.raises(ValueError):
         # trace(1 + eps) = 2 + 1 = 3 = trace(3*eps): a collision
         validate_transversal(f5p, [0, 5, 10, 15, 6])
+    for bad in (25, -1):  # outside GF(25): rejected before any trace is taken
+        with pytest.raises(ValueError, match="canonical"):
+            validate_transversal(f5p, [bad, 1, 2, 3, 4])
 
 
 def test_normalize_point_and_form(f5p):
