@@ -253,11 +253,12 @@ def run_simulation(spec: cc.CodeSpec, errors: int, trials: int, seed: int) -> Si
         raise ValueError(f"error weight must be in 0..{N}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    msgs = list(cc.iter_messages(spec))
+    q = F.q
     successes = failures = miscorrections = 0
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
-        m = msgs[rng.randrange(len(msgs))]
+        k = rng.randrange(q ** 3)  # index into iter_messages order
+        m = (k // q, spec.s[k % q])
         w = cc.encode(spec, m)
         r = list(w)
         for pos in rng.sample(range(N), errors):

@@ -254,11 +254,7 @@ def pairwise_intersection_count(spec: CodeSpec, lam1: int, lam2: int) -> int:
 
 def common_zero_set(spec: CodeSpec):
     """Messages at which every coordinate form vanishes."""
-    out = set()
-    for m in iter_messages(spec):
-        if all(c == 0 for c in encode(spec, m)):
-            out.add(m)
-    return out
+    return {m for m, w in zip(iter_messages(spec), spec.codewords) if not any(w)}
 
 
 # ---------------------------------------------------------------------------

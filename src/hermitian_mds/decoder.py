@@ -30,13 +30,21 @@ so no projection lands on the vertex direction (0, 0, 1).  The soundness
 argument (any returned word is within (N-3)/2 of the received word) only
 uses the threshold count and the discard rule for lines through the
 vertex direction, so it is unaffected by where the center sits.
+
+Center and lifted points are both affine, so projecting Q from P onto
+t = 0 gives the direction Q - P, normalized with its last nonzero entry 1.
+Lines of t = 0 are coefficient triples normalized with their first nonzero
+entry 1, the convention the trial division of extract_linear_factors
+relies on.  A heavy line a*x + b*y + c*z = 0 (c != 0) and the center
+P = (u, v, w, 1) span the plane
+z = -(a/c)*x - (b/c)*y + (a*u + b*v + c*w)/c, so the codeword plane is
+read off in closed form.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
 from .code import CodeSpec, enumerate_codewords, validate_message
-from .geometry import normalize_point, pg2_lines, points_on_line, span_plane
 from .linalg import MatrixFq
 
 
@@ -65,15 +73,18 @@ def lift(spec: CodeSpec, r):
     return [(l1, l2, c, 1) for (l1, l2), c in zip(spec.coords, r)]
 
 
-def project_from(F, P, Q):
-    """Image of Q on the plane t=0 under projection from the affine point P:
-    the normalized point t_P*Q - t_Q*P."""
-    if P[3] == 0:
-        raise ValueError("projection center must be affine")
-    diff = [F.q_sub(F.q_mul(P[3], Q[k]), F.q_mul(Q[3], P[k])) for k in range(4)]
-    if not any(diff):
-        raise ValueError("cannot project a point from itself")
-    return normalize_point(F, diff)
+def normalize_point(F, v):
+    """Scale a homogeneous coordinate tuple so its last nonzero entry is 1."""
+    v = list(v)
+    piv = None
+    for j in range(len(v) - 1, -1, -1):
+        if v[j]:
+            piv = j
+            break
+    if piv is None:
+        raise ValueError("zero vector is not a projective point")
+    s = F.q_inv(v[piv])
+    return tuple(F.q_mul(s, x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +125,16 @@ def fit_min_degree_curve(F, points):
             return e, forms
         e += 1
         assert e <= F.q + 1, "fitting degree exceeded q+1"
+
+
+def pg2_lines(F):
+    """All lines of PG(2,q) as normalized coefficient triples (first nonzero
+    coefficient 1), in a fixed order."""
+    q = F.q
+    lines = [(1, b, c) for b in range(q) for c in range(q)]
+    lines += [(0, 1, c) for c in range(q)]
+    lines.append((0, 0, 1))
+    return lines
 
 
 def _divide_once(F, form, triple):
@@ -264,18 +285,19 @@ def geometric_decode(spec: CodeSpec, r):
     Within (N-3)/2 errors the transmitted codeword is always returned; any
     returned word, even beyond that radius, is within (N-3)/2 of r.
     """
-    r = validate_word(spec, r)
     F = spec.tower
     N = spec.N
     lifted = lift(spec, r)
 
     for P in _centers(spec):
-        projs = [project_from(F, P, Q)[:3] for Q in lifted]
+        u, v, w, _ = P
+        projs = [normalize_point(F, (F.q_sub(a, u), F.q_sub(b, v), F.q_sub(c, w)))
+                 for (a, b, c, _) in lifted]
         # cheap skip: no line can clear the threshold at this center
         if 2 * _max_collinear(F, projs) < N + 3:
             continue
         _, forms = fit_min_degree_curve(F, projs)
-        hits = {}  # heavy line -> its points
+        hits = []  # heavy lines, in the order they were found
         for form in forms:
             factors, _ = extract_linear_factors(F, form)
             for L in dict.fromkeys(factors):
@@ -285,24 +307,24 @@ def geometric_decode(spec: CodeSpec, r):
                     continue
                 if L in hits:
                     continue
-                line_pts = points_on_line(F, L)
-                on_line = set(line_pts)
-                if 2 * sum(1 for p in projs if p in on_line) >= N + 3:
-                    hits[L] = line_pts
+                a, b, c = L
+                n = sum(1 for x, y, z in projs
+                        if not F.q_add(F.q_add(F.q_mul(a, x), F.q_mul(b, y)), F.q_mul(c, z)))
+                if 2 * n >= N + 3:
+                    hits.append(L)
         if not hits:
             continue
-        L, line_pts = next(iter(hits.items()))
-        plane4 = span_plane(F, P, (*line_pts[0], 0), (*line_pts[1], 0))
-        A, B, C, D = plane4
-        assert C != 0, "candidate plane contains the cone vertex"
-        s = F.q_neg(F.q_inv(C))
-        plane = (F.q_mul(s, A), F.q_mul(s, B), F.q_mul(s, D))
+        a, b, c = L = hits[0]
+        s = F.q_inv(c)
+        d = F.q_add(F.q_add(F.q_mul(a, u), F.q_mul(b, v)), F.q_mul(c, w))
+        plane = (F.q_neg(F.q_mul(s, a)), F.q_neg(F.q_mul(s, b)), F.q_mul(s, d))
         word = plane_to_codeword(spec, plane)
         return DecodeResult(
             codeword=word,
             message=plane_to_message(spec, plane),
-            corrected_positions=tuple(i for i in range(N) if word[i] != r[i]),
-            witness={"center": P, "factor": L, "tied_factors": list(hits)[1:]},
+            corrected_positions=tuple(i for i, (cw, Q) in enumerate(zip(word, lifted))
+                                      if cw != Q[2]),
+            witness={"center": P, "factor": L, "tied_factors": hits[1:]},
         )
     return None
 

@@ -1,4 +1,4 @@
-"""Affine and projective geometry over GF(q).
+"""Arcs and transversals in GF(q^2), viewed as AG(2,q).
 
 GF(q^2) is identified with AG(2,q) through the basis {1, eps}; a subset of
 GF(q^2) is usable as an evaluation support iff it is an arc there.  The
@@ -6,17 +6,13 @@ paper's power condition for that is tested as distinct slopes from a new
 point to the points already chosen (_extends_arc, behind
 arc_condition_holds).  The slope of a direction is computed by one formula,
 _slope, shared by _extends_arc and by the secant counts of the greedy arc
-search, which blocks every point on a line through two chosen points.
-PG(2,q) and PG(3,q) primitives (normalized points, lines, plane spans) back
-the decoder.
+search, which blocks every point on a line through two chosen points.  A
+transversal S holds one representative per coset of the trace-zero
+subgroup, so trace restricted to S is a bijection onto GF(q).
 
-Points are tuples normalized so the last nonzero coordinate is 1; linear
-forms (lines, planes) are coefficient tuples normalized so the first
-nonzero coefficient is 1.  All enumeration orders are fixed so construction
-output is reproducible byte for byte.
+All enumeration orders are fixed so construction output is reproducible
+byte for byte.
 """
-
-from .linalg import MatrixFq
 
 
 def _slope(F, d):
@@ -185,70 +181,3 @@ def build_transversal(F, strategy):
         mu = next(u for u in F.elements() if F.trace(u) == 1)
         return validate_transversal(F, [F.mul(c, mu) for c in range(F.q)])
     raise ValueError(f"unknown transversal strategy {strategy!r}")
-
-
-# ---------------------------------------------------------------------------
-# projective primitives
-# ---------------------------------------------------------------------------
-
-def normalize_point(F, v):
-    """Scale a homogeneous coordinate tuple so its last nonzero entry is 1."""
-    v = list(v)
-    piv = None
-    for j in range(len(v) - 1, -1, -1):
-        if v[j]:
-            piv = j
-            break
-    if piv is None:
-        raise ValueError("zero vector is not a projective point")
-    s = F.q_inv(v[piv])
-    return tuple(F.q_mul(s, x) for x in v)
-
-
-def normalize_form(F, v):
-    """Scale a coefficient tuple so its first nonzero entry is 1."""
-    v = list(v)
-    piv = next((j for j, x in enumerate(v) if x), None)
-    if piv is None:
-        raise ValueError("zero vector is not a form")
-    s = F.q_inv(v[piv])
-    return tuple(F.q_mul(s, x) for x in v)
-
-
-def pg2_points(F):
-    """All points of PG(2,q), normalized, in a fixed order: (a,b,1) by
-    ascending (a,b), then (a,1,0), then (1,0,0)."""
-    q = F.q
-    pts = [(a, b, 1) for a in range(q) for b in range(q)]
-    pts += [(a, 1, 0) for a in range(q)]
-    pts.append((1, 0, 0))
-    return pts
-
-
-def pg2_lines(F):
-    """All lines of PG(2,q) as normalized coefficient triples, fixed order."""
-    q = F.q
-    lines = [(1, b, c) for b in range(q) for c in range(q)]
-    lines += [(0, 1, c) for c in range(q)]
-    lines.append((0, 0, 1))
-    return lines
-
-
-def points_on_line(F, line):
-    """The q+1 points of PG(2,q) on a line given by its coefficient triple."""
-    a, b, c = line
-    out = []
-    for p in pg2_points(F):
-        acc = F.q_add(F.q_add(F.q_mul(a, p[0]), F.q_mul(b, p[1])), F.q_mul(c, p[2]))
-        if acc == 0:
-            out.append(p)
-    return out
-
-
-def span_plane(F, p1, p2, p3):
-    """Coefficients of the plane of PG(3,q) through three non-collinear points."""
-    M = MatrixFq(F, [list(p1), list(p2), list(p3)])
-    kern = M.kernel_basis()
-    if len(kern) != 1:
-        raise ValueError("points are collinear (or coincide); no unique plane")
-    return normalize_form(F, kern[0])

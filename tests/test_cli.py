@@ -5,13 +5,15 @@ Exit code contract: 0 success/verified, 1 usage or input error,
 is byte-identical across runs, so the short tables are frozen here.
 """
 
+import random
 import subprocess
 import sys
 
 import pytest
 
 from hermitian_mds import code as cc
-from hermitian_mds.cli import main, run_simulation
+from hermitian_mds import decoder as dec
+from hermitian_mds.cli import SimulationReport, main, run_simulation
 
 REFERENCE_TEXT = (
     "hermitian-mds v1\n"
@@ -225,6 +227,43 @@ def test_simulate_report_invariants(ref_path):
     assert (within.successes, within.failures, within.miscorrections) == (30, 0, 0)
     zero = run_simulation(spec, errors=0, trials=5, seed=0)
     assert zero.successes == 5
+
+
+def test_simulate_draws_from_the_message_list(monkeypatch):
+    # reference: each trial draws its message from the full list
+    # iter_messages, then its positions and offsets, from one seeded stream;
+    # even q uses the unit-trace transversal
+    sent = []
+    encode = cc.encode
+
+    def recording(spec, m):
+        sent.append(m)
+        return encode(spec, m)
+
+    for q in (4, 7, 8):
+        spec = cc.construct_code(q)
+        F, N = spec.tower, spec.N
+        msgs = list(cc.iter_messages(spec))
+        for errors in ((N - 3) // 2, (N - 3) // 2 + 2):
+            expected_msgs = []
+            counts = [0, 0, 0]
+            for i in range(12):
+                rng = random.Random(f"5:{i}")
+                m = msgs[rng.randrange(len(msgs))]
+                w = cc.encode(spec, m)
+                r = list(w)
+                for pos in rng.sample(range(N), errors):
+                    r[pos] = F.q_add(r[pos], rng.randrange(1, F.q))
+                res = dec.geometric_decode(spec, tuple(r))
+                counts[0 if res is not None and res.codeword == w else
+                       1 if res is None else 2] += 1
+                expected_msgs.append(m)
+            sent.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(cc, "encode", recording)
+                report = run_simulation(spec, errors, 12, seed=5)
+            assert sent == expected_msgs
+            assert report == SimulationReport(12, errors, *counts, 5)
 
 
 def test_simulate_bad_parameters(ref_path, capsys):

@@ -14,8 +14,6 @@ import pytest
 
 from hermitian_mds import code as cc
 from hermitian_mds import decoder as dec
-from hermitian_mds.geometry import normalize_form
-from hermitian_mds.linalg import MatrixFq
 
 
 def form_value(F, form, pt):
@@ -80,38 +78,29 @@ def test_lift(ref, spec7):
         dec.lift(ref, (0, 0, 0, 0, 0, 5))
 
 
-def test_project_from(ref):
-    F = ref.tower
-    # the subtraction gives (1,2,3,0); the result is its normalized
-    # representative (last nonzero coordinate scaled to 1)
-    from hermitian_mds.geometry import normalize_point
-    assert dec.project_from(F, (0, 0, 0, 1), (1, 2, 3, 1)) == normalize_point(F, (1, 2, 3, 0))
-    assert dec.project_from(F, (0, 0, 0, 1), (1, 2, 3, 1)) == (2, 4, 1, 0)
-    with pytest.raises(ValueError):
-        dec.project_from(F, (1, 2, 3, 1), (1, 2, 3, 1))
-    with pytest.raises(ValueError):
-        dec.project_from(F, (1, 2, 3, 0), (1, 2, 3, 1))  # center at infinity
-    # P, Q and the image are collinear
-    rng = random.Random(9)
-    for _ in range(50):
-        P = (rng.randrange(5), rng.randrange(5), rng.randrange(5), 1)
-        Q = (rng.randrange(5), rng.randrange(5), rng.randrange(5), 1)
-        if P == Q:
-            continue
-        R = dec.project_from(F, P, Q)
-        assert R[3] == 0
-        assert MatrixFq(F, [list(P), list(Q), list(R)]).rank() == 2
+def test_project_from_external_center_never_hits_vertex_direction(ref, spec7, monkeypatch):
+    # every center sits over a point (u, v) off the base arc, so the first
+    # two coordinates of a projected cone point cannot both vanish
+    formed = []
+    normalize_point = dec.normalize_point
 
+    def recording(F, v):
+        formed.append(v)
+        return normalize_point(F, v)
 
-def test_project_from_external_center_never_hits_vertex_direction(ref):
-    # every center sits over a point off the base arc, so the first two
-    # coordinates of a projected cone point cannot both vanish
-    F = ref.tower
-    lifted = dec.lift(ref, (3, 1, 4, 1, 0, 2))
-    for P in dec._centers(ref):
-        for Q in lifted:
-            R = dec.project_from(F, P, Q)
-            assert (R[0], R[1]) != (0, 0)
+    monkeypatch.setattr(dec, "normalize_point", recording)
+    rng = random.Random(4)
+    for spec in (ref, spec7):
+        F = spec.tower
+        for P in dec._centers(spec):
+            assert (P[0], P[1]) not in spec.coords
+        for _ in range(10):
+            r = tuple(rng.randrange(F.q) for _ in range(spec.N))
+            formed.clear()
+            dec.geometric_decode(spec, r)
+            assert formed
+            for x, y, _ in formed:
+                assert (x, y) != (0, 0)
 
 
 def test_monomials():
@@ -127,8 +116,9 @@ def test_fit_min_degree_curve_line(ref):
     e, forms = dec.fit_min_degree_curve(F, pts)
     assert e == 1
     assert len(forms) == 1
-    triple = normalize_form(F, [forms[0].get(m, 0) for m in dec.monomials(1)])
-    assert triple == (1, 4, 0)  # x - y
+    coeffs = [forms[0].get(m, 0) for m in dec.monomials(1)]
+    s = F.q_inv(next(c for c in coeffs if c))
+    assert [F.q_mul(s, c) for c in coeffs] == [1, 4, 0]  # x - y
     with pytest.raises(ValueError):
         dec.fit_min_degree_curve(F, [])
 

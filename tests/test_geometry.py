@@ -1,4 +1,5 @@
-"""Geometry tests: arc criteria, arc/transversal builders, PG primitives.
+"""Geometry tests: arc criteria, arc/transversal builders, and the PG(2,q)
+point and line normalizations the decoder uses.
 
 The q=5 instance with modulus X^2 - X + 2 uses the known 6-element arc
 (powers 3, 4, 8, 15, 16, 20 of eps); its integer encodings are frozen here
@@ -15,6 +16,7 @@ import random
 import pytest
 
 from hermitian_mds import code as cc
+from hermitian_mds.decoder import normalize_point, pg2_lines
 from hermitian_mds.fields import FieldTower, tower_for_q
 from hermitian_mds.geometry import (
     _greedy_arc,
@@ -22,16 +24,9 @@ from hermitian_mds.geometry import (
     arc_size_bound,
     build_lambda,
     build_transversal,
-    normalize_form,
-    normalize_point,
-    pg2_lines,
-    pg2_points,
-    points_on_line,
-    span_plane,
     validate_arc,
     validate_transversal,
 )
-from hermitian_mds.linalg import MatrixFq
 
 REFERENCE_LAMBDA = [23, 12, 11, 7, 18, 19]  # eps^3, eps^4, eps^8, eps^15, eps^16, eps^20
 
@@ -230,48 +225,20 @@ def test_validate_transversal_rejects(f5p):
 def test_normalize_point_and_form(f5p):
     assert normalize_point(f5p, (2, 4, 0)) == (3, 1, 0)
     assert normalize_point(f5p, (0, 0, 2)) == (0, 0, 1)
-    assert normalize_form(f5p, (2, 4, 0)) == (1, 2, 0)
     with pytest.raises(ValueError):
         normalize_point(f5p, (0, 0, 0))
-    with pytest.raises(ValueError):
-        normalize_form(f5p, (0, 0, 0, 0))
 
 
 def test_pg2_counts():
+    # q^2+q+1 distinct lines, each through q+1 of the q^2+q+1 points
     for q in (3, 4, 5):
         F = tower_for_q(q)
-        pts = pg2_points(F)
+        pts = [(a, b, 1) for a in range(q) for b in range(q)]
+        pts += [(a, 1, 0) for a in range(q)] + [(1, 0, 0)]
         lines = pg2_lines(F)
-        assert len(pts) == q * q + q + 1
         assert len(lines) == q * q + q + 1
-        assert len(set(pts)) == len(pts)
-        for L in lines:
-            assert len(points_on_line(F, L)) == q + 1
-
-
-def test_pg2_point_line_duality(f5p):
-    # every point lies on exactly q+1 lines
-    F = f5p
-    for p in pg2_points(F):
-        n = sum(1 for L in pg2_lines(F) if p in points_on_line(F, L))
-        assert n == F.q + 1
-
-
-def test_span_plane_basic(f5p):
-    assert span_plane(f5p, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)) == (0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        span_plane(f5p, (1, 0, 0, 1), (2, 0, 0, 1), (3, 0, 0, 1))  # collinear
-
-
-def test_span_plane_roundtrip(f5p):
-    # three non-collinear points of a plane must span exactly that plane
-    F = f5p
-    rng = random.Random(23)
-    for _ in range(30):
-        coeffs = [rng.randrange(5) for _ in range(4)]
-        if not any(coeffs):
-            continue
-        plane = normalize_form(F, coeffs)
-        basis = MatrixFq(F, [list(plane)]).kernel_basis()
-        assert len(basis) == 3
-        assert span_plane(F, *basis) == plane
+        assert len(set(lines)) == len(lines)
+        for a, b, c in lines:
+            on = [p for p in pts
+                  if F.q_add(F.q_add(F.q_mul(a, p[0]), F.q_mul(b, p[1])), F.q_mul(c, p[2])) == 0]
+            assert len(on) == q + 1

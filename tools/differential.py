@@ -1,0 +1,230 @@
+"""Differential run: compare library and CLI outputs of two checkouts.
+
+Usage:
+    python3 tools/differential.py PARENT_DIR [CHANGE_DIR]
+
+CHANGE_DIR defaults to the checkout holding this script.  For each
+checkout, one child process runs this file with `--emit` and
+PYTHONPATH=<dir>/src; it prints one `case<TAB>result` line per case, in a
+fixed order.  The two line lists are compared, the first mismatches are
+printed, and the exit code is 0 when every line agrees, 1 when some differ
+and 2 when a child fails or imports the package from the wrong place.
+
+Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
+  - geometric_decode (codeword, message, corrected positions, witness) on
+    every word at q=4 and q=5, and on 200 seeded words each at q = 7, 8,
+    9, 13, 16: half a codeword plus 0..t+2 errors, half uniform;
+  - plane_to_message and codeword_to_plane on all q^3 planes for q <= 9;
+  - generator_matrix at every prime power q = 2..16;
+  - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
+  - stdout, stderr and exit code of a fixed list of CLI invocations.
+The two children run side by side; the whole run takes about 35 s on a
+2-core box under Python 3.11.
+
+Stdlib only.
+"""
+
+import contextlib
+import io
+import itertools
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+MAX_SHOWN = 10
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def emit_decoder(cc, dec, out):
+    def show(spec, r):
+        res = dec.geometric_decode(spec, r)
+        if res is None:
+            return "FAIL"
+        return repr((res.codeword, res.message, res.corrected_positions, res.witness))
+
+    for q in (4, 5):
+        spec = cc.construct_code(q)
+        for r in itertools.product(range(q), repeat=spec.N):
+            out(f"decode q={q} r={r}", show(spec, r))
+    for q in (7, 8, 9, 13, 16):
+        spec = cc.construct_code(q)
+        N, t = spec.N, (spec.N - 3) // 2
+        for i in range(200):
+            rng = random.Random(f"{q}:{i}")
+            if i % 2:
+                r = tuple(rng.randrange(q) for _ in range(N))
+            else:
+                k = rng.randrange(q ** 3)
+                r = list(cc.encode(spec, (k // q, spec.s[k % q])))
+                for pos in rng.sample(range(N), rng.randrange(t + 3)):
+                    r[pos] = spec.tower.q_add(r[pos], rng.randrange(1, q))
+                r = tuple(r)
+            out(f"decode q={q} r={r}", show(spec, r))
+
+
+def emit_planes(cc, dec, out):
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        spec = cc.construct_code(q)
+        for plane in itertools.product(range(q), repeat=3):
+            word = dec.plane_to_codeword(spec, plane)
+            out(f"planes q={q} plane={plane}",
+                repr((dec.plane_to_message(spec, plane), dec.codeword_to_plane(spec, word))))
+
+
+def emit_generators(cc, dec, out):
+    for q in PRIME_POWERS:
+        out(f"generator q={q}", repr(cc.generator_matrix(cc.construct_code(q)).rows))
+
+
+def emit_simulations(cc, dec, out):
+    from hermitian_mds.cli import run_simulation
+
+    # the report's counts do not show which messages were drawn, so the
+    # encoded messages are recorded too
+    sent = []
+    encode = cc.encode
+
+    def recording(spec, m):
+        sent.append(m)
+        return encode(spec, m)
+
+    cc.encode = recording
+    try:
+        for q in (4, 5, 7, 8):
+            spec = cc.construct_code(q)
+            t = (spec.N - 3) // 2
+            for errors in (t, t + 1, t + 2):
+                sent.clear()
+                report = run_simulation(spec, errors, 40, seed=q)
+                out(f"simulate q={q} errors={errors}", repr((report, sent)))
+    finally:
+        cc.encode = encode
+
+
+CLI_FILES = [
+    ["construct", "--paper-example", "--out", "ref.code"],
+    ["construct", "--q", "2", "--out", "q2.code"],
+    ["construct", "--q", "4", "--out", "q4.code"],
+    ["construct", "--q", "7", "--out", "q7.code"],
+    ["construct", "--q", "8", "--out", "q8.code"],
+    ["construct", "--q", "13", "--out", "q13.code"],
+]
+
+CLI_CASES = (
+    [["construct", "--q", str(q)] for q in range(2, 17)]
+    + [
+        ["construct", "--paper-example"],
+        ["encode", "--code", "ref.code", "--message", "7,2"],
+        ["encode", "--code", "q8.code", "--message", "100,3"],
+        ["encode", "--code", "ref.code", "--message", "7,9"],
+    ]
+    + [
+        ["decode", "--code", path, "--word", word, "--method", method]
+        for method in ("geometric", "ml")
+        for path, word in (
+            ("ref.code", "3,0,3,1,4,4"),        # one error, corrected
+            ("ref.code", "0,1,2,3,4,0"),        # geometric FAIL
+            ("q7.code", "1,0,0,0,0,0,0,2"),     # two errors, corrected
+            ("q7.code", "0,1,2,3,4,5,6,0"),     # geometric FAIL
+            ("q2.code", "0,1,1,0"),             # the arc covers GF(4)
+        )
+    ]
+    + [
+        ["weights", "--code", "ref.code"],
+        ["weights", "--code", "q4.code"],
+        ["verify", "--code", "ref.code"],
+        ["verify", "--code", "q4.code"],
+        ["verify", "--code", "q8.code"],
+        ["verify", "--code", "q13.code"],
+        ["simulate", "--code", "ref.code", "--errors", "1", "--trials", "30", "--seed", "3"],
+        ["simulate", "--code", "ref.code", "--errors", "2", "--trials", "30", "--seed", "3"],
+        ["simulate", "--code", "q7.code", "--errors", "3", "--trials", "30", "--seed", "1"],
+        ["simulate", "--code", "q8.code", "--errors", "4", "--trials", "30", "--seed", "2"],
+    ]
+)
+
+
+def emit_cli(cc, dec, out):
+    from hermitian_mds.cli import main
+
+    def run(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        return repr((code, stdout.getvalue(), stderr.getvalue()))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # instance files are named relative to it
+        try:
+            for argv in CLI_FILES + CLI_CASES:
+                out("cli " + " ".join(argv), run(argv))
+        finally:
+            os.chdir(cwd)
+
+
+def emit(expected_src):
+    import hermitian_mds
+    from hermitian_mds import code as cc
+    from hermitian_mds import decoder as dec
+
+    here = os.path.realpath(os.path.dirname(hermitian_mds.__file__))
+    if os.path.dirname(here) != os.path.realpath(expected_src):
+        print(f"imported hermitian_mds from {here}, not {expected_src}", file=sys.stderr)
+        return 2
+
+    def out(case, result):
+        print(f"{case}\t{result}")
+
+    for part in (emit_decoder, emit_planes, emit_generators, emit_simulations, emit_cli):
+        part(cc, dec, out)
+    return 0
+
+
+def run_children(dirs):
+    with contextlib.ExitStack() as stack:
+        runs = []
+        for d in dirs:
+            src = os.path.join(d, "src")
+            fh = stack.enter_context(tempfile.TemporaryFile(mode="w+", encoding="utf-8"))
+            proc = stack.enter_context(subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "--emit", src],
+                stdout=fh, env=dict(os.environ, PYTHONPATH=src), cwd=d))
+            runs.append((d, fh, proc))
+        outputs = []
+        for d, fh, proc in runs:
+            if proc.wait() != 0:
+                print(f"child for {d} exited {proc.returncode}", file=sys.stderr)
+                return None
+            fh.seek(0)
+            outputs.append(fh.read().splitlines())
+        return outputs
+
+
+def compare(old, new):
+    mismatches = [(a, b) for a, b in itertools.zip_longest(old, new, fillvalue="<missing>")
+                  if a != b]
+    for a, b in mismatches[:MAX_SHOWN]:
+        print(f"- {a}\n+ {b}")
+    print(f"{max(len(old), len(new))} cases, {len(mismatches)} mismatched")
+    return 1 if mismatches else 0
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "--emit":
+        return emit(argv[1])
+    if len(argv) not in (1, 2) or argv[0].startswith("-"):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    change = argv[1] if len(argv) == 2 else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    dirs = [os.path.abspath(argv[0]), os.path.abspath(change)]
+    outputs = run_children(dirs)
+    if outputs is None:
+        return 2
+    return compare(*outputs)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
