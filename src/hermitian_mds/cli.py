@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "comma-separated element list")
     c.add_argument("--s", default=None, metavar="TRANSVERSAL",
                    help="transversal strategy: subfield or unit-trace")
-    c.add_argument("--norm-c", type=int, default=1,
-                   help="norm target for the norm_circle strategy")
+    c.add_argument("--norm-c", type=int, default=None,
+                   help="norm target for the norm_circle strategy (default 1)")
     c.add_argument("--out", default=None, help="output path (default: stdout)")
     c.set_defaults(func=cmd_construct)
 
@@ -96,6 +96,8 @@ def cmd_construct(args) -> int:
     if args.paper_example:
         if args.q not in (None, 5):
             raise ValueError("the worked example instance has q=5")
+        if (args.lam, args.s, args.norm_c) != (None, None, None):
+            raise ValueError("--paper-example takes no --lambda, --s or --norm-c")
         spec = cc.reference_instance()
     else:
         if args.q is None:
@@ -107,9 +109,13 @@ def cmd_construct(args) -> int:
             else:
                 arc_strategy = args.lam.replace("-", "_")
         s_strategy = args.s.replace("-", "_") if args.s else None
+        # construct_code's default arc strategy
+        arc = arc_strategy or ("norm_circle" if args.q % 2 else "greedy")
+        if args.norm_c is not None and arc != "norm_circle":
+            raise ValueError("--norm-c applies only to the norm_circle arc strategy")
         spec = cc.construct_code(args.q, arc_strategy=arc_strategy,
                                  s_strategy=s_strategy, arc_values=arc_values,
-                                 norm_c=args.norm_c)
+                                 norm_c=1 if args.norm_c is None else args.norm_c)
     text = cc.to_text(spec)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -31,11 +31,19 @@ argument (any returned word is within (N-3)/2 of the received word) only
 uses the threshold count and the discard rule for lines through the
 vertex direction, so it is unaffected by where the center sits.
 
+At most one line of t = 0 is heavy at a center.  Two lifted points
+project to the same point only if their arc points are collinear with
+(u, v) in AG(2,q), and a line meets the arc at most twice, so each
+projection has multiplicity at most 2.  Two lines share one point, so
+together they hold at most N + 2 projections, fewer than the N + 3 two
+heavy lines need.  So the filter returns the heavy line itself, and the
+factor step only tests whether it divides a form of the fitted curve.
+
 Center and lifted points are both affine, so projecting Q from P onto
 t = 0 gives the direction Q - P, normalized with its last nonzero entry 1.
 Lines of t = 0 are coefficient triples normalized with their first nonzero
-entry 1, the convention the trial division of extract_linear_factors
-relies on.  A heavy line a*x + b*y + c*z = 0 (c != 0) and the center
+entry 1, the convention the synthetic division of _divide_once relies
+on.  A heavy line a*x + b*y + c*z = 0 (c != 0) and the center
 P = (u, v, w, 1) span the plane
 z = -(a/c)*x - (b/c)*y + (a*u + b*v + c*w)/c, so the codeword plane is
 read off in closed form.
@@ -127,16 +135,6 @@ def fit_min_degree_curve(F, points):
         assert e <= F.q + 1, "fitting degree exceeded q+1"
 
 
-def pg2_lines(F):
-    """All lines of PG(2,q) as normalized coefficient triples (first nonzero
-    coefficient 1), in a fixed order."""
-    q = F.q
-    lines = [(1, b, c) for b in range(q) for c in range(q)]
-    lines += [(0, 1, c) for c in range(q)]
-    lines.append((0, 0, 1))
-    return lines
-
-
 def _divide_once(F, form, triple):
     """Exact quotient of a form by a normalized linear form, else None."""
     piv = next(i for i, c in enumerate(triple) if c)
@@ -164,27 +162,6 @@ def _divide_once(F, form, triple):
             else:
                 rem.pop(mk, None)
     return quot
-
-
-def extract_linear_factors(F, form):
-    """All linear factors of a form, with multiplicity, plus the cofactor.
-
-    Trial division by every normalized linear form over GF(q) (first
-    nonzero coefficient 1), in the fixed pg2_lines order.  The product of
-    the returned factors and the cofactor reproduces the input.
-    """
-    if not form or not any(form.values()):
-        raise ValueError("zero form has no factorization")
-    factors = []
-    rem = dict(form)
-    for triple in pg2_lines(F):
-        while True:
-            quot = _divide_once(F, rem, triple)
-            if quot is None:
-                break
-            factors.append(triple)
-            rem = quot
-    return factors, rem
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +210,13 @@ def codeword_to_plane(spec: CodeSpec, w):
 # decoding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     codeword: tuple
     message: tuple
     corrected_positions: tuple
-    witness: dict
+    center: tuple  # the projection center (u, v, w, 1)
+    factor: tuple  # the heavy line of t = 0, first nonzero coefficient 1
 
 
 def _cross(F, a, b):
@@ -249,22 +227,24 @@ def _cross(F, a, b):
     )
 
 
-def _max_collinear(F, pts):
-    """Largest number of entries of pts (with repetition) on one line."""
+def _heavy_line(F, pts, need):
+    """The first line through two distinct entries of pts that holds at
+    least `need` entries (with repetition), normalized with its first
+    nonzero coefficient 1; None if no line is that heavy."""
     mult = Counter(pts)
     distinct = list(mult)
-    best = max(mult.values())
     for i in range(len(distinct)):
         for j in range(i + 1, len(distinct)):
-            a, b, c = _cross(F, distinct[i], distinct[j])
+            a, b, c = L = _cross(F, distinct[i], distinct[j])
             n = 0
             for p in distinct:
                 acc = F.q_add(F.q_add(F.q_mul(a, p[0]), F.q_mul(b, p[1])), F.q_mul(c, p[2]))
                 if acc == 0:
                     n += mult[p]
-            if n > best:
-                best = n
-    return best
+            if n >= need:
+                s = F.q_inv(next(x for x in L if x))
+                return tuple(F.q_mul(s, x) for x in L)
+    return None
 
 
 def _centers(spec: CodeSpec):
@@ -288,33 +268,21 @@ def geometric_decode(spec: CodeSpec, r):
     F = spec.tower
     N = spec.N
     lifted = lift(spec, r)
+    need = (N + 4) // 2  # ceil((N+3)/2)
 
     for P in _centers(spec):
         u, v, w, _ = P
         projs = [normalize_point(F, (F.q_sub(a, u), F.q_sub(b, v), F.q_sub(c, w)))
                  for (a, b, c, _) in lifted]
-        # cheap skip: no line can clear the threshold at this center
-        if 2 * _max_collinear(F, projs) < N + 3:
+        L = _heavy_line(F, projs, need)
+        if L is None or L[2] == 0:
+            # no heavy line, or it passes through (0,0,1), the direction of
+            # the cone vertex, and its plane carries no codeword
             continue
         _, forms = fit_min_degree_curve(F, projs)
-        hits = []  # heavy lines, in the order they were found
-        for form in forms:
-            factors, _ = extract_linear_factors(F, form)
-            for L in dict.fromkeys(factors):
-                if L[2] == 0:
-                    # the line passes through (0,0,1), the direction of the
-                    # cone vertex; its plane carries no codeword
-                    continue
-                if L in hits:
-                    continue
-                a, b, c = L
-                n = sum(1 for x, y, z in projs
-                        if not F.q_add(F.q_add(F.q_mul(a, x), F.q_mul(b, y)), F.q_mul(c, z)))
-                if 2 * n >= N + 3:
-                    hits.append(L)
-        if not hits:
+        if all(_divide_once(F, form, L) is None for form in forms):
             continue
-        a, b, c = L = hits[0]
+        a, b, c = L
         s = F.q_inv(c)
         d = F.q_add(F.q_add(F.q_mul(a, u), F.q_mul(b, v)), F.q_mul(c, w))
         plane = (F.q_neg(F.q_mul(s, a)), F.q_neg(F.q_mul(s, b)), F.q_mul(s, d))
@@ -324,7 +292,7 @@ def geometric_decode(spec: CodeSpec, r):
             message=plane_to_message(spec, plane),
             corrected_positions=tuple(i for i, (cw, Q) in enumerate(zip(word, lifted))
                                       if cw != Q[2]),
-            witness={"center": P, "factor": L, "tied_factors": hits[1:]},
+            center=P, factor=L,
         )
     return None
 

@@ -51,6 +51,33 @@ def test_construct_paper_example_q_mismatch(capsys):
     assert main(["construct", "--paper-example", "--q", "4"]) == 1
 
 
+def test_construct_paper_example_rejects_other_flags(capsys):
+    # the worked example fixes its arc, transversal and norm target
+    for flags in (["--lambda", "greedy"], ["--s", "subfield"], ["--norm-c", "1"]):
+        assert main(["construct", "--paper-example", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --paper-example takes no --lambda, --s or --norm-c\n"
+
+
+def test_construct_norm_c_needs_norm_circle(capsys):
+    # --norm-c is the norm_circle target; any other arc strategy would drop it
+    for argv in (["--q", "4", "--norm-c", "3"],  # even q: greedy by default
+                 ["--q", "5", "--lambda", "greedy", "--norm-c", "2"],
+                 ["--q", "5", "--lambda", "1,4,11,12,18,19", "--norm-c", "2"]):
+        assert main(["construct", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --norm-c applies only to the norm_circle arc strategy\n"
+    # on the norm circle, the odd-q default or named, the target is used
+    assert main(["construct", "--q", "5", "--norm-c", "2"]) == 0
+    out = capsys.readouterr().out
+    spec = cc.from_text(out)
+    assert all(spec.tower.norm(u) == 2 for u in spec.lam)
+    assert main(["construct", "--q", "5", "--lambda", "norm-circle", "--norm-c", "2"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_construct_not_prime_power(capsys):
     assert main(["construct", "--q", "6"]) == 1
     assert "prime power" in capsys.readouterr().err

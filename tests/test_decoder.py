@@ -7,6 +7,7 @@ every guarantee claim; sampled runs use fixed seeds.  The q=4 sweep here
 is exhaustive, as are the q=5 sweeps of the acceptance suite.
 """
 
+import collections
 import itertools
 import random
 
@@ -14,6 +15,7 @@ import pytest
 
 from hermitian_mds import code as cc
 from hermitian_mds import decoder as dec
+from hermitian_mds.fields import tower_for_q
 
 
 def form_value(F, form, pt):
@@ -38,6 +40,26 @@ def form_mul(F, f, g):
             else:
                 out.pop(key, None)
     return out
+
+
+def linear_form(L):
+    """The linear form a*x + b*y + c*z of a line (a, b, c)."""
+    return {m: c for m, c in zip(dec.monomials(1), L) if c}
+
+
+def pg2_points(F):
+    """All points of PG(2,q), normalized with their last nonzero entry 1."""
+    q = F.q
+    return ([(a, b, 1) for a in range(q) for b in range(q)]
+            + [(a, 1, 0) for a in range(q)] + [(1, 0, 0)])
+
+
+def pg2_lines(F):
+    """All lines of PG(2,q), normalized with their first nonzero
+    coefficient 1 as _divide_once expects."""
+    q = F.q
+    return ([(1, b, c) for b in range(q) for c in range(q)]
+            + [(0, 1, c) for c in range(q)] + [(0, 0, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +125,59 @@ def test_project_from_external_center_never_hits_vertex_direction(ref, spec7, mo
                 assert (x, y) != (0, 0)
 
 
+def test_pg2_counts():
+    # q^2+q+1 distinct points and lines, each line through q+1 points
+    for q in (3, 4, 5):
+        F = tower_for_q(q)
+        pts = pg2_points(F)
+        lines = pg2_lines(F)
+        assert len(set(pts)) == len(pts) == q * q + q + 1
+        assert len(set(lines)) == len(lines) == q * q + q + 1
+        for L in lines:
+            on = [p for p in pts if form_value(F, linear_form(L), p) == 0]
+            assert len(on) == q + 1
+
+
+def test_one_heavy_line_per_center(ref):
+    # at every center at most one line of t = 0 holds ceil((N+3)/2) of the
+    # N projections, counted with multiplicity, and _heavy_line returns it
+    def check(spec, words):
+        F, N = spec.tower, spec.N
+        need = (N + 4) // 2
+        lines = pg2_lines(F)
+        incident = {L: [p for p in pg2_points(F) if form_value(F, linear_form(L), p) == 0]
+                    for L in lines}
+        coords = [F.decompose(l) for l in spec.lam]
+        found = 0
+        for r in words:
+            for u, v, w, _ in dec._centers(spec):
+                projs = [dec.normalize_point(F, (F.q_sub(a, u), F.q_sub(b, v), F.q_sub(c, w)))
+                         for (a, b), c in zip(coords, r)]
+                mult = collections.Counter(projs)
+                heavy = [L for L in lines
+                         if 2 * sum(mult[p] for p in incident[L]) >= N + 3]
+                assert len(heavy) <= 1
+                assert dec._heavy_line(F, projs, need) == (heavy[0] if heavy else None)
+                found += len(heavy)
+        assert found
+
+    spec4 = cc.construct_code(4)
+    check(spec4, itertools.product(range(4), repeat=spec4.N))
+    rng = random.Random(2)
+    for spec in (ref, cc.construct_code(7), cc.construct_code(8)):
+        q, N = spec.tower.q, spec.N
+        words = []
+        for i in range(60):
+            if i % 2:
+                words.append(tuple(rng.randrange(q) for _ in range(N)))
+            else:
+                r = list(cc.encode(spec, (rng.randrange(q * q), spec.s[rng.randrange(q)])))
+                for pos in rng.sample(range(N), rng.randrange((N - 3) // 2 + 3)):
+                    r[pos] = spec.tower.q_add(r[pos], rng.randrange(1, q))
+                words.append(tuple(r))
+        check(spec, words)
+
+
 def test_monomials():
     assert dec.monomials(1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert len(dec.monomials(2)) == 6
@@ -147,58 +222,62 @@ def test_fit_vanishes_on_inputs(ref):
                 assert form_value(F, form, p) == 0
 
 
-def test_extract_linear_factors_basic(ref):
+def test_divide_once_basic(ref):
     F = ref.tower
     xy = {(1, 1, 0): 1}
-    factors, cofactor = dec.extract_linear_factors(F, xy)
-    assert factors == [(1, 0, 0), (0, 1, 0)]
-    assert cofactor == {(0, 0, 0): 1}
+    assert dec._divide_once(F, xy, (1, 0, 0)) == {(0, 1, 0): 1}
+    assert dec._divide_once(F, xy, (0, 1, 0)) == {(1, 0, 0): 1}
     # x^2 + y^2 = (x + 2y)(x + 3y) over GF(5)
-    factors, cofactor = dec.extract_linear_factors(F, {(2, 0, 0): 1, (0, 2, 0): 1})
-    assert factors == [(1, 2, 0), (1, 3, 0)]
-    assert cofactor == {(0, 0, 0): 1}
-    with pytest.raises(ValueError):
-        dec.extract_linear_factors(F, {})
+    conic = {(2, 0, 0): 1, (0, 2, 0): 1}
+    for L in [(1, 2, 0), (1, 3, 0)]:
+        quot = dec._divide_once(F, conic, L)
+        assert quot is not None
+        assert form_mul(F, quot, linear_form(L)) == conic
+    assert dec._divide_once(F, conic, (1, 0, 0)) is None
 
 
-def test_extract_linear_factors_multiplicity(ref):
+def test_divide_once_multiplicity(ref):
     F = ref.tower
-    # x^2 * y: the factor x appears twice
-    factors, cofactor = dec.extract_linear_factors(F, {(2, 1, 0): 1})
-    assert factors == [(1, 0, 0), (1, 0, 0), (0, 1, 0)]
-    assert cofactor == {(0, 0, 0): 1}
+    # x^2 * y divided by x leaves x * y, which x divides once more
+    quot = dec._divide_once(F, {(2, 1, 0): 1}, (1, 0, 0))
+    assert quot == {(1, 1, 0): 1}
+    assert dec._divide_once(F, quot, (1, 0, 0)) == {(0, 1, 0): 1}
 
 
-def test_extract_linear_factors_irreducible_conic(ref):
+def test_divide_once_irreducible_conic(ref):
     # the norm form x^2 + T(eps) xy + N(eps) y^2 has no roots, hence no
     # linear factors
     F = ref.tower
     conic = {(2, 0, 0): 1, (1, 1, 0): F.trace(F.eps), (0, 2, 0): F.norm(F.eps)}
-    factors, cofactor = dec.extract_linear_factors(F, conic)
-    assert factors == []
-    assert cofactor == conic
+    assert all(dec._divide_once(F, conic, L) is None for L in pg2_lines(F))
 
 
 def test_factorization_product_identity():
+    # a form of degree e <= q is divisible by a line exactly when it
+    # vanishes on the line's q+1 points, and a quotient times the line
+    # gives the form back
     for q in (4, 5):
         spec = cc.construct_code(q)
         F = spec.tower
+        points = pg2_points(F)
         rng = random.Random(q * 11)
-        for _ in range(25):
-            e = rng.randint(1, 4)
-            form = {}
-            for m in dec.monomials(e):
-                c = rng.randrange(F.q)
-                if c:
-                    form[m] = c
+        for i in range(50):
+            e = rng.randint(1, q)
+            # every other form is built with a linear factor, so both
+            # outcomes of the division occur
+            form = {m: c for m in dec.monomials(e - i % 2) if (c := rng.randrange(F.q))}
             if not form:
                 continue
-            factors, cofactor = dec.extract_linear_factors(F, form)
-            product = dict(cofactor)
-            for L in factors:
-                linear = {m: c for m, c in zip(dec.monomials(1), L) if c}
-                product = form_mul(F, product, linear)
-            assert product == form
+            if i % 2:
+                form = form_mul(F, form, linear_form(rng.choice(pg2_lines(F))))
+            for L in pg2_lines(F):
+                on_line = [p for p in points if form_value(F, linear_form(L), p) == 0]
+                assert len(on_line) == q + 1
+                vanishes = all(form_value(F, form, p) == 0 for p in on_line)
+                quot = dec._divide_once(F, form, L)
+                assert (quot is not None) == vanishes
+                if quot is not None:
+                    assert form_mul(F, quot, linear_form(L)) == form
 
 
 def test_plane_message_codeword_trivial(ref):
@@ -252,8 +331,8 @@ def test_geometric_decode_constant_words_use_generator_centers(ref):
     # first point off the arc, in its affine point (0, 0, 1, 1)
     res = dec.geometric_decode(ref, (1,) * 6)
     assert res.codeword == (1,) * 6
-    assert res.witness["center"] == (0, 0, 1, 1)
-    assert res.witness["factor"] == (0, 0, 1)
+    assert res.center == (0, 0, 1, 1)
+    assert res.factor == (0, 0, 1)
 
 
 def test_geometric_decode_weight_one_sampled(ref):
@@ -334,7 +413,7 @@ def test_geometric_decode_result_invariants(ref, spec7):
             assert res is not None
             assert len(res.corrected_positions) == dec.hamming_distance(res.codeword, r)
             assert res.codeword == cc.encode(spec, res.message)
-            assert res.witness["factor"][2] != 0  # never through the vertex direction
+            assert res.factor[2] != 0  # never through the vertex direction
 
 
 def test_geometric_decode_rejects_malformed(ref):

@@ -1,5 +1,5 @@
 """Geometry tests: arc criteria, arc/transversal builders, and the PG(2,q)
-point and line normalizations the decoder uses.
+point normalization the decoder uses.
 
 The q=5 instance with modulus X^2 - X + 2 uses the known 6-element arc
 (powers 3, 4, 8, 15, 16, 20 of eps); its integer encodings are frozen here
@@ -16,7 +16,7 @@ import random
 import pytest
 
 from hermitian_mds import code as cc
-from hermitian_mds.decoder import normalize_point, pg2_lines
+from hermitian_mds.decoder import normalize_point
 from hermitian_mds.fields import FieldTower, tower_for_q
 from hermitian_mds.geometry import (
     _greedy_arc,
@@ -227,18 +227,3 @@ def test_normalize_point_and_form(f5p):
     assert normalize_point(f5p, (0, 0, 2)) == (0, 0, 1)
     with pytest.raises(ValueError):
         normalize_point(f5p, (0, 0, 0))
-
-
-def test_pg2_counts():
-    # q^2+q+1 distinct lines, each through q+1 of the q^2+q+1 points
-    for q in (3, 4, 5):
-        F = tower_for_q(q)
-        pts = [(a, b, 1) for a in range(q) for b in range(q)]
-        pts += [(a, 1, 0) for a in range(q)] + [(1, 0, 0)]
-        lines = pg2_lines(F)
-        assert len(lines) == q * q + q + 1
-        assert len(set(lines)) == len(lines)
-        for a, b, c in lines:
-            on = [p for p in pts
-                  if F.q_add(F.q_add(F.q_mul(a, p[0]), F.q_mul(b, p[1])), F.q_mul(c, p[2])) == 0]
-            assert len(on) == q + 1

@@ -11,15 +11,21 @@ printed, and the exit code is 0 when every line agrees, 1 when some differ
 and 2 when a child fails or imports the package from the wrong place.
 
 Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
-  - geometric_decode (codeword, message, corrected positions, witness) on
-    every word at q=4 and q=5, and on 200 seeded words each at q = 7, 8,
-    9, 13, 16: half a codeword plus 0..t+2 errors, half uniform;
+  - geometric_decode (codeword, message, corrected positions, center,
+    factor) on every word at q=4 and q=5, and on 200 seeded words each at
+    q = 7, 8, 9, 13, 16: half a codeword plus 0..t+2 errors, half uniform;
   - plane_to_message and codeword_to_plane on all q^3 planes for q <= 9;
   - generator_matrix at every prime power q = 2..16;
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
   - stdout, stderr and exit code of a fixed list of CLI invocations.
 The two children run side by side; the whole run takes about 35 s on a
 2-core box under Python 3.11.
+
+Older checkouts return the center and the factor in a `witness` dict,
+newer ones as DecodeResult fields; both are read.  The dict's
+`tied_factors` entry is not compared: at one center at most one line holds
+ceil((N+3)/2) projections, so it was always empty, and newer checkouts no
+longer report it.
 
 Stdlib only.
 """
@@ -42,7 +48,12 @@ def emit_decoder(cc, dec, out):
         res = dec.geometric_decode(spec, r)
         if res is None:
             return "FAIL"
-        return repr((res.codeword, res.message, res.corrected_positions, res.witness))
+        witness = getattr(res, "witness", None)
+        if witness is None:
+            center, factor = res.center, res.factor
+        else:
+            center, factor = witness["center"], witness["factor"]
+        return repr((res.codeword, res.message, res.corrected_positions, center, factor))
 
     for q in (4, 5):
         spec = cc.construct_code(q)
