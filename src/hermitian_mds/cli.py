@@ -199,6 +199,11 @@ def cmd_verify(args) -> int:
               "trace restricted to S covers GF(q)")
         words = cc.enumerate_codewords(spec)
         claim("codeword-count", len(set(words)) == q ** 3, f"{len(words)} = q^3")
+        claim("literal-form",
+              all(w[i] == cc.form_eval(spec, lam, x, y)
+                  for (x, y), w in zip(cc.iter_messages(spec), words)
+                  for i, lam in enumerate(spec.lam)),
+              "every symbol is the five-term Hermitian form")
         d = cc.min_distance(spec)
         G = cc.generator_matrix(spec)
         claim("parameters", G.rank() == 3 and d == N - 2, f"[{N},3,{d}]")

@@ -8,9 +8,15 @@ symbols
     norm(x) + trace(y) + trace(lambda_i * x)        (one per lambda_i)
 
 which is the Z=1 evaluation of the Hermitian form
-X^{q+1} + Y^q Z + Y Z^q + lambda^q X^q Z + lambda X Z^q.  The resulting
-code is q-ary, has q^3 words, dimension 3 and minimum distance N-2; all of
-that is re-verified by enumeration rather than assumed.
+X^{q+1} + Y^q Z + Y Z^q + lambda^q X^q Z + lambda X Z^q, the paper's
+coordinate form (form_eval).  With lambda_i = lam_i^1 + eps*lam_i^2 the
+trace term is c1*lam_i^1 + c2*lam_i^2 for c1 = T(x), c2 = T(eps*x), so the
+codeword is the section of the cone over the arc by the plane
+z = c1*x + c2*y + c0, c0 = norm(x) + T(y).  encode computes it that way
+(message_to_plane, then plane_to_codeword); `verify` checks every symbol
+of every codeword against form_eval.  The resulting code is q-ary, has
+q^3 words, dimension 3 and minimum distance N-2; all of that is
+re-verified by enumeration rather than assumed.
 """
 
 import functools
@@ -101,8 +107,64 @@ def validate_message(spec: CodeSpec, m):
     return x, y
 
 
+def validate_word(spec: CodeSpec, r):
+    r = tuple(r)
+    if len(r) != spec.N:
+        raise ValueError(f"word length {len(r)} != N = {spec.N}")
+    if any(not 0 <= c < spec.tower.q for c in r):
+        raise ValueError("symbols must be canonical GF(q) integers")
+    return r
+
+
+# ---------------------------------------------------------------------------
+# planes <-> messages <-> codewords
+# ---------------------------------------------------------------------------
+
+def message_to_plane(spec: CodeSpec, m):
+    """(c1, c2, c0) of the plane z = c1*x + c2*y + c0*t carrying encode(m):
+    c1 = T(x), c2 = T(eps*x), c0 = norm(x) + T(y)."""
+    F = spec.tower
+    x, y = validate_message(spec, m)
+    return (F.trace(x), F.trace(F.mul(F.eps, x)),
+            F.q_add(F.norm(x), F.trace(y)))
+
+
+def plane_to_message(spec: CodeSpec, plane):
+    """Invert message_to_plane: x from the inverse trace pairing, then the
+    transversal representative for y."""
+    F = spec.tower
+    c1, c2, c0 = plane
+    x0, x1 = (F.q_add(F.q_mul(a, c1), F.q_mul(b, c2)) for a, b in spec.gram_inv)
+    x = F.compose(x0, x1)
+    y = spec.s_by_trace[F.q_sub(c0, F.norm(x))]
+    return (x, y)
+
+
+def plane_to_codeword(spec: CodeSpec, plane):
+    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0: the plane's cone section."""
+    F = spec.tower
+    c1, c2, c0 = plane
+    return tuple(F.q_add(F.q_add(F.q_mul(c1, l1), F.q_mul(c2, l2)), c0)
+                 for l1, l2 in spec.coords)
+
+
+def codeword_to_plane(spec: CodeSpec, w):
+    """Recover (c1, c2, c0) from a codeword; raises if w is not in the code."""
+    F = spec.tower
+    w = validate_word(spec, w)
+    sol = MatrixFq(F, [(l1, l2, 1) for l1, l2 in spec.coords]).solve(list(w))
+    if sol is None or plane_to_codeword(spec, tuple(sol)) != w:
+        raise ValueError("word is not a codeword")
+    return tuple(sol)
+
+
+# ---------------------------------------------------------------------------
+# encoding and enumeration
+# ---------------------------------------------------------------------------
+
 def form_eval(spec: CodeSpec, lam_val: int, x: int, y: int) -> int:
-    """Evaluate one coordinate form at (x, y).
+    """Evaluate one coordinate form at (x, y): the paper's definition of a
+    symbol, used by pairwise_intersection_count and by `verify`.
 
     Computed as norm(x) + trace(y) + trace(lam_val * x) and checked against
     the literal five-term polynomial evaluation; the two must agree
@@ -119,8 +181,10 @@ def form_eval(spec: CodeSpec, lam_val: int, x: int, y: int) -> int:
 
 
 def encode(spec: CodeSpec, m) -> tuple:
-    x, y = validate_message(spec, m)
-    return tuple(form_eval(spec, l, x, y) for l in spec.lam)
+    """Codeword of m = (x, y): the section of the cone over the arc by the
+    plane of m, one symbol per arc element.  Symbol i equals
+    form_eval(spec, lam_i, x, y), the Hermitian form at (x, y, 1)."""
+    return plane_to_codeword(spec, message_to_plane(spec, m))
 
 
 def iter_messages(spec: CodeSpec):

@@ -28,8 +28,15 @@ the q centers reaches every codeword within the guaranteed radius.  As
 (u, v) is off the arc, no lifted point shares a generator with a center,
 so no projection lands on the vertex direction (0, 0, 1).  The soundness
 argument (any returned word is within (N-3)/2 of the received word) only
-uses the threshold count and the discard rule for lines through the
-vertex direction, so it is unaffected by where the center sits.
+uses the threshold count, so it is unaffected by where the center sits.
+
+No heavy line passes through the vertex direction.  A line a*x + b*y = 0
+of t = 0 holds the projection of (l1, l2, r, 1) exactly when
+a*(l1 - u) + b*(l2 - v) = 0, that is when (l1, l2) lies on one line of
+AG(2,q) through the center's (u, v); that line meets the arc at most
+twice, so the line of t = 0 holds at most 2 projections, counted with
+multiplicity, and ceil((N+3)/2) >= 3.  So every heavy line has c != 0,
+and its plane misses the vertex.
 
 At most one line of t = 0 is heavy at a center.  Two lifted points
 project to the same point only if their arc points are collinear with
@@ -52,7 +59,15 @@ read off in closed form.
 from collections import Counter
 from dataclasses import dataclass
 
-from .code import CodeSpec, enumerate_codewords, validate_message
+from .code import (  # the plane maps are re-exported under their old names
+    CodeSpec,
+    codeword_to_plane,
+    enumerate_codewords,
+    message_to_plane,
+    plane_to_codeword,
+    plane_to_message,
+    validate_word,
+)
 from .linalg import MatrixFq
 
 
@@ -60,15 +75,6 @@ def hamming_distance(a, b) -> int:
     if len(a) != len(b):
         raise ValueError("length mismatch")
     return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def validate_word(spec: CodeSpec, r):
-    r = tuple(r)
-    if len(r) != spec.N:
-        raise ValueError(f"word length {len(r)} != N = {spec.N}")
-    if any(not 0 <= c < spec.tower.q for c in r):
-        raise ValueError("symbols must be canonical GF(q) integers")
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -165,48 +171,6 @@ def _divide_once(F, form, triple):
 
 
 # ---------------------------------------------------------------------------
-# planes <-> messages <-> codewords
-# ---------------------------------------------------------------------------
-
-def message_to_plane(spec: CodeSpec, m):
-    """(c1, c2, c0) of the plane z = c1*x + c2*y + c0*t carrying encode(m):
-    c1 = T(x), c2 = T(eps*x), c0 = norm(x) + T(y)."""
-    F = spec.tower
-    x, y = validate_message(spec, m)
-    return (F.trace(x), F.trace(F.mul(F.eps, x)),
-            F.q_add(F.norm(x), F.trace(y)))
-
-
-def plane_to_message(spec: CodeSpec, plane):
-    """Invert message_to_plane: x from the inverse trace pairing, then the
-    transversal representative for y."""
-    F = spec.tower
-    c1, c2, c0 = plane
-    x0, x1 = (F.q_add(F.q_mul(a, c1), F.q_mul(b, c2)) for a, b in spec.gram_inv)
-    x = F.compose(x0, x1)
-    y = spec.s_by_trace[F.q_sub(c0, F.norm(x))]
-    return (x, y)
-
-
-def plane_to_codeword(spec: CodeSpec, plane):
-    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0: the plane's cone section."""
-    F = spec.tower
-    c1, c2, c0 = plane
-    return tuple(F.q_add(F.q_add(F.q_mul(c1, l1), F.q_mul(c2, l2)), c0)
-                 for l1, l2 in spec.coords)
-
-
-def codeword_to_plane(spec: CodeSpec, w):
-    """Recover (c1, c2, c0) from a codeword; raises if w is not in the code."""
-    F = spec.tower
-    w = validate_word(spec, w)
-    sol = MatrixFq(F, [(l1, l2, 1) for l1, l2 in spec.coords]).solve(list(w))
-    if sol is None or plane_to_codeword(spec, tuple(sol)) != w:
-        raise ValueError("word is not a codeword")
-    return tuple(sol)
-
-
-# ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
 
@@ -275,9 +239,7 @@ def geometric_decode(spec: CodeSpec, r):
         projs = [normalize_point(F, (F.q_sub(a, u), F.q_sub(b, v), F.q_sub(c, w)))
                  for (a, b, c, _) in lifted]
         L = _heavy_line(F, projs, need)
-        if L is None or L[2] == 0:
-            # no heavy line, or it passes through (0,0,1), the direction of
-            # the cone vertex, and its plane carries no codeword
+        if L is None:
             continue
         _, forms = fit_min_degree_curve(F, projs)
         if all(_divide_once(F, form, L) is None for form in forms):

@@ -210,6 +210,28 @@ def test_verify_false_claims_exit_2(tmp_path, capsys):
     assert out.splitlines()[-1].split() == ["verdict", "FAIL"]
 
 
+def test_verify_literal_form_failure_exit_2(ref_path, capsys, monkeypatch):
+    # one nonzero symbol of one enumerated codeword is swapped for another
+    # nonzero value of GF(5): weights, distance and zero sets are unchanged, and the
+    # word stays 3 or more away from every other codeword, so only the
+    # literal-form claim can see it
+    encode = cc.encode
+    spec = cc.reference_instance()
+    bad = next(m for m in cc.iter_messages(spec) if encode(spec, m)[0])
+
+    def corrupted(spec, m):
+        w = encode(spec, m)
+        return (w[0] % 4 + 1,) + w[1:] if m == bad else w
+
+    monkeypatch.setattr(cc, "encode", corrupted)
+    assert main(["verify", "--code", ref_path]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names.index("literal-form") == names.index("codeword-count") + 1
+    assert [line.split()[:2] for line in lines if line.split()[1] == "FAIL"] == [
+        ["literal-form", "FAIL"], ["verdict", "FAIL"]]
+
+
 @pytest.mark.parametrize("params", ["p=1000000000000000003\nh=1\n",
                                     "p=2\nh=100000000000\ngq=1,1\n"])
 def test_oversized_field_fails_fast(tmp_path, capsys, params):

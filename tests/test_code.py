@@ -52,6 +52,20 @@ def test_form_eval_literal_agreement_exhaustive_q4():
                 cc.form_eval(spec, lam, x, y)
 
 
+def test_encode_is_the_hermitian_form(specs, ref):
+    # encode goes through the plane section; every symbol must be the
+    # literal form X^{q+1} + Y^q + Y + lam^q X^q + lam X at (x, y)
+    for spec in (*specs.values(), ref):
+        F, q = spec.tower, spec.tower.q
+        lam_q = [F.pow(lam, q) for lam in spec.lam]
+        for x, y in cc.iter_messages(spec):
+            head = F.add(F.add(F.pow(x, q + 1), F.pow(y, q)), y)
+            xq = F.pow(x, q)
+            literal = tuple(F.add(head, F.add(F.mul(lq, xq), F.mul(lam, x)))
+                            for lam, lq in zip(spec.lam, lam_q))
+            assert cc.encode(spec, (x, y)) == literal
+
+
 def test_encode_reference_values(ref):
     assert cc.encode(ref, (0, 0)) == (0,) * 6
     assert cc.encode(ref, (0, 3)) == (1,) * 6

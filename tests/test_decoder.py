@@ -178,6 +178,33 @@ def test_one_heavy_line_per_center(ref):
         check(spec, words)
 
 
+def test_vertex_lines_hold_at_most_two_projections():
+    # a line a*x + b*y = 0 of t = 0 passes through the vertex direction
+    # (0, 0, 1) and pulls back to the line of AG(2,q) through the center's
+    # (u, v) with direction (-b, a); that line holds at most 2 arc points,
+    # and need = ceil((N+3)/2) >= 3, so no such line is ever heavy
+    rng = random.Random(6)
+    for q in (4, 5, 7, 8, 9, 13, 16):
+        spec = cc.construct_code(q)
+        F, N = spec.tower, spec.N
+        assert (N + 4) // 2 >= 3
+        vertex_lines = [(1, b, 0) for b in range(q)] + [(0, 1, 0)]
+        r = tuple(rng.randrange(q) for _ in range(N))
+        counts = []
+        for u, v, w, _ in dec._centers(spec):
+            projs = [dec.normalize_point(F, (F.q_sub(l1, u), F.q_sub(l2, v), F.q_sub(c, w)))
+                     for (l1, l2), c in zip(spec.coords, r)]
+            for L in vertex_lines:
+                a, b, _ = L
+                on_line = sum(1 for p in projs if form_value(F, linear_form(L), p) == 0)
+                on_arc = sum(1 for l1, l2 in spec.coords
+                             if F.q_add(F.q_mul(a, F.q_sub(l1, u)), F.q_mul(b, F.q_sub(l2, v))) == 0)
+                assert on_line == on_arc <= 2
+                counts.append(on_line)
+        assert len(counts) == q * (q + 1)
+        assert max(counts) == 2
+
+
 def test_monomials():
     assert dec.monomials(1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert len(dec.monomials(2)) == 6
@@ -292,11 +319,12 @@ def test_plane_roundtrips_exhaustive():
     # and GF(3^2) towers as well
     for q in (4, 5, 7, 8, 9):
         spec = cc.construct_code(q)
-        # message -> plane -> message, and plane codeword = encoding
+        # message -> plane -> message, and plane codeword = the paper's forms
         for m in cc.iter_messages(spec):
             plane = dec.message_to_plane(spec, m)
             assert dec.plane_to_message(spec, plane) == m
-            assert dec.plane_to_codeword(spec, plane) == cc.encode(spec, m)
+            assert dec.plane_to_codeword(spec, plane) == tuple(
+                cc.form_eval(spec, lam, *m) for lam in spec.lam)
         # plane -> message -> plane over all q^3 coefficient triples
         for c1 in range(q):
             for c2 in range(q):

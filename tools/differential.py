@@ -15,6 +15,9 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     factor) on every word at q=4 and q=5, and on 200 seeded words each at
     q = 7, 8, 9, 13, 16: half a codeword plus 0..t+2 errors, half uniform;
   - plane_to_message and codeword_to_plane on all q^3 planes for q <= 9;
+  - encode on every message at each prime power q <= 9 and on the
+    reference instance, and on 500 messages each at q = 49 and 251 drawn
+    from random.Random("encode:<q>");
   - generator_matrix at every prime power q = 2..16;
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
   - stdout, stderr and exit code of a fixed list of CLI invocations.
@@ -82,6 +85,22 @@ def emit_planes(cc, dec, out):
             word = dec.plane_to_codeword(spec, plane)
             out(f"planes q={q} plane={plane}",
                 repr((dec.plane_to_message(spec, plane), dec.codeword_to_plane(spec, word))))
+
+
+def emit_encodes(cc, dec, out):
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        spec = cc.construct_code(q)
+        for m in cc.iter_messages(spec):
+            out(f"encode q={q} m={m}", repr(cc.encode(spec, m)))
+    spec = cc.reference_instance()
+    for m in cc.iter_messages(spec):
+        out(f"encode reference m={m}", repr(cc.encode(spec, m)))
+    for q in (49, 251):
+        spec = cc.construct_code(q)
+        rng = random.Random(f"encode:{q}")
+        for _ in range(500):
+            m = (rng.randrange(q * q), spec.s[rng.randrange(q)])
+            out(f"encode q={q} m={m}", repr(cc.encode(spec, m)))
 
 
 def emit_generators(cc, dec, out):
@@ -189,7 +208,8 @@ def emit(expected_src):
     def out(case, result):
         print(f"{case}\t{result}")
 
-    for part in (emit_decoder, emit_planes, emit_generators, emit_simulations, emit_cli):
+    for part in (emit_decoder, emit_planes, emit_encodes, emit_generators, emit_simulations,
+                 emit_cli):
         part(cc, dec, out)
     return 0
 
