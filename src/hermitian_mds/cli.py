@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--paper-example", action="store_true",
                    help="use the worked q=5 example instance (modulus X^2-X+2)")
     c.add_argument("--lambda", dest="lam", default=None, metavar="ARC",
-                   help="arc strategy (norm_circle, greedy) or an explicit "
+                   help="arc strategy (norm_circle, hyperoval, greedy) or an explicit "
                         "comma-separated element list")
     c.add_argument("--s", default=None, metavar="TRANSVERSAL",
                    help="transversal strategy: subfield or unit-trace")
@@ -109,8 +109,7 @@ def cmd_construct(args) -> int:
             else:
                 arc_strategy = args.lam.replace("-", "_")
         s_strategy = args.s.replace("-", "_") if args.s else None
-        # construct_code's default arc strategy
-        arc = arc_strategy or ("norm_circle" if args.q % 2 else "greedy")
+        arc = arc_strategy or cc.default_arc_strategy(args.q)
         if args.norm_c is not None and arc != "norm_circle":
             raise ValueError("--norm-c applies only to the norm_circle arc strategy")
         spec = cc.construct_code(args.q, arc_strategy=arc_strategy,

@@ -211,16 +211,18 @@ def min_distance(spec: CodeSpec) -> int:
 
 
 def is_mds(spec: CodeSpec) -> bool:
-    """d == N-2, cross-checked against nonsingularity of all 3-column minors."""
-    by_distance = min_distance(spec) == spec.N - 2
+    """Whether every 3-column minor of the generator matrix is nonsingular.
+
+    That is the MDS property of a dimension-3 code.  It reads the plane
+    basis, not the enumerated codewords, so it is an independent check of
+    min_distance(spec) == N-2.
+    """
     G = generator_matrix(spec)
     cols = list(zip(*G.rows))
-    by_minors = all(
+    return all(
         MatrixFq(spec.tower, [list(r) for r in zip(cols[i], cols[j], cols[k])]).rank() == 3
         for i, j, k in combinations(range(spec.N), 3)
     )
-    assert by_distance == by_minors, "distance and minor criteria disagree"
-    return by_distance
 
 
 def weight_distribution(spec: CodeSpec, method: str = "enumerate"):
@@ -418,16 +420,21 @@ def is_reference_instance(spec: CodeSpec) -> bool:
     return spec == reference_instance()
 
 
+def default_arc_strategy(q: int) -> str:
+    """The arc of size bound: the norm circle for odd q, the hyperoval for even q."""
+    return "norm_circle" if q % 2 else "hyperoval"
+
+
 def construct_code(q: int, arc_strategy: str = None, s_strategy: str = None,
                    arc_values=None, norm_c: int = 1, gq=None, gq2=None) -> CodeSpec:
     """Build an instance for a prime power q with sensible defaults.
 
     Odd q: arc = norm_circle (q+1 points), S = the subfield.
-    Even q: arc = greedy search (targets q+2), S = unit_trace multiples.
+    Even q: arc = hyperoval (q+2 points), S = unit_trace multiples.
     """
     tower = tower_for_q(q, gq=gq, gq2=gq2)
     if arc_strategy is None:
-        arc_strategy = "norm_circle" if q % 2 else "greedy"
+        arc_strategy = default_arc_strategy(q)
     if s_strategy is None:
         s_strategy = "subfield" if q % 2 else "unit_trace"
     lam = build_lambda(tower, arc_strategy, values=arc_values, c=norm_c)

@@ -6,9 +6,10 @@ paper's power condition for that is tested as distinct slopes from a new
 point to the points already chosen (_extends_arc, behind
 arc_condition_holds).  The slope of a direction is computed by one formula,
 _slope, shared by _extends_arc and by the secant counts of the greedy arc
-search, which blocks every point on a line through two chosen points.  A
-transversal S holds one representative per coset of the trace-zero
-subgroup, so trace restricted to S is a bijection onto GF(q).
+search, which blocks every point on a line through two chosen points.  For
+even q no search is needed: the unit circle plus 0 is a (q+2)-arc, the
+hyperoval strategy.  A transversal S holds one representative per coset of
+the trace-zero subgroup, so trace restricted to S is a bijection onto GF(q).
 
 All enumeration orders are fixed so construction output is reproducible
 byte for byte.
@@ -133,6 +134,11 @@ def build_lambda(F, strategy, values=None, c=1):
 
     strategy 'explicit': validate the given values as-is (order preserved).
     strategy 'norm_circle': all u with norm(u) = c (c != 0), ascending.
+    strategy 'hyperoval' (even q only): 0 and all u with norm(u) = 1,
+    ascending.  In characteristic 2 the unit circle is a conic of AG(2,q)
+    whose tangents all meet at its nucleus 0, so the two together are a
+    (q+2)-arc, the size bound (Hirschfeld, Projective Geometries over
+    Finite Fields, ch. 8).
     strategy 'greedy': backtracking search targeting the size bound.
     Every strategy re-validates through arc_condition_holds.
     """
@@ -144,6 +150,11 @@ def build_lambda(F, strategy, values=None, c=1):
         if not 0 < c < F.q:
             raise ValueError("norm_circle needs a nonzero GF(q) target")
         lam = [u for u in F.elements() if F.norm(u) == c]
+        return validate_arc(F, lam)
+    if strategy == "hyperoval":
+        if F.q % 2:
+            raise ValueError("a hyperoval needs even q")
+        lam = [u for u in F.elements() if u == 0 or F.norm(u) == 1]
         return validate_arc(F, lam)
     if strategy == "greedy":
         lam = _greedy_arc(F, arc_size_bound(F))

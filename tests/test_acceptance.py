@@ -80,7 +80,7 @@ def test_criterion_3_mds_across_instances():
             strategies = ("subfield", "unit_trace") if q % 2 else ("unit_trace",)
             for s_strategy in strategies:
                 spec = cc.construct_code(q, s_strategy=s_strategy)
-                want_n = q + 1 if q % 2 else q + 2  # greedy attains q+2 here
+                want_n = q + 1 if q % 2 else q + 2  # the hyperoval attains q+2
                 assert spec.N == want_n
                 d = cc.min_distance(spec)           # full enumeration
                 dist_ok = d == spec.N - 2

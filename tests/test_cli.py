@@ -8,6 +8,7 @@ is byte-identical across runs, so the short tables are frozen here.
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_construct_paper_example_rejects_other_flags(capsys):
 
 def test_construct_norm_c_needs_norm_circle(capsys):
     # --norm-c is the norm_circle target; any other arc strategy would drop it
-    for argv in (["--q", "4", "--norm-c", "3"],  # even q: greedy by default
+    for argv in (["--q", "4", "--norm-c", "3"],  # even q: the hyperoval by default
                  ["--q", "5", "--lambda", "greedy", "--norm-c", "2"],
                  ["--q", "5", "--lambda", "1,4,11,12,18,19", "--norm-c", "2"]):
         assert main(["construct", *argv]) == 1
@@ -94,6 +95,25 @@ def test_construct_greedy_unit_trace(capsys):
     spec = cc.from_text(out)
     assert spec.tower.q == 4
     assert spec.N == 6  # q + 2 at even q
+
+
+def test_construct_even_q_hyperoval_default(capsys):
+    # the default even-q arc is the hyperoval, q+2 points; at q=2 and q=8 it
+    # is the arc the greedy search finds, so those files are unchanged
+    for q in (2, 8):
+        assert main(["construct", "--q", str(q)]) == 0
+        default = capsys.readouterr().out
+        assert main(["construct", "--q", str(q), "--lambda", "greedy"]) == 0
+        assert capsys.readouterr().out == default
+    # closed form, so the top of the supported range builds in about a
+    # second (measured 0.1 s at q=32 and 1.0 s at q=256 on a 2-core box)
+    for q, budget_s in ((32, 1.0), (256, 5.0)):
+        t0 = time.perf_counter()
+        assert main(["construct", "--q", str(q)]) == 0
+        elapsed = time.perf_counter() - t0
+        spec = cc.from_text(capsys.readouterr().out)
+        assert spec.N == q + 2
+        assert elapsed < budget_s, f"construct --q {q} took {elapsed:.2f} s"
 
 
 def test_construct_norm_circle_q5(capsys):
@@ -230,6 +250,32 @@ def test_verify_literal_form_failure_exit_2(ref_path, capsys, monkeypatch):
     assert names.index("literal-form") == names.index("codeword-count") + 1
     assert [line.split()[:2] for line in lines if line.split()[1] == "FAIL"] == [
         ["literal-form", "FAIL"], ["verdict", "FAIL"]]
+
+
+def test_verify_distance_failure_exit_2(ref_path, capsys, monkeypatch):
+    # one symbol of a weight-4 codeword is zeroed: the enumerated distance
+    # drops to 3 while the generator's minors stay nonsingular, so the two
+    # MDS checks disagree.  verify reports it in its table, not a traceback
+    encode = cc.encode
+    spec = cc.reference_instance()
+    bad = next(m for m in cc.iter_messages(spec) if sum(map(bool, encode(spec, m))) == 4)
+
+    def corrupted(spec, m):
+        w = encode(spec, m)
+        if m != bad:
+            return w
+        i = next(i for i, c in enumerate(w) if c)
+        return w[:i] + (0,) + w[i + 1:]
+
+    monkeypatch.setattr(cc, "encode", corrupted)
+    assert main(["verify", "--code", ref_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = {line.split()[0]: line.split(maxsplit=2)[1:] for line in captured.out.splitlines()}
+    assert rows["parameters"] == ["FAIL", "[6,3,3]"]
+    assert rows["singleton-equality"][0] == "FAIL"
+    assert rows["mds-minors"][0] == "PASS"
+    assert rows["verdict"] == ["FAIL"]
 
 
 @pytest.mark.parametrize("params", ["p=1000000000000000003\nh=1\n",

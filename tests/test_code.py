@@ -305,7 +305,7 @@ def test_from_text_extension_field():
 
 def test_construct_code_defaults(specs):
     assert specs[5].N == 6 and specs[5].s == [0, 1, 2, 3, 4]
-    assert specs[4].N == 6  # greedy reaches q+2
+    assert specs[4].N == 6  # the hyperoval reaches q+2
     assert specs[9].N == 10
     assert specs[8].N == 10
     explicit = cc.construct_code(5, arc_strategy="explicit",

@@ -16,6 +16,7 @@ import pytest
 from hermitian_mds import code as cc
 from hermitian_mds import decoder as dec
 from hermitian_mds.fields import tower_for_q
+from hermitian_mds.geometry import build_lambda
 
 
 def form_value(F, form, pt):
@@ -394,7 +395,7 @@ def test_geometric_decode_soundness_beyond_radius(ref):
 
 
 def test_geometric_decode_exhaustive_q4():
-    # every word of GF(4)^6 on the greedy (q+2)-arc: the ML codeword, its
+    # every word of GF(4)^6 on the hyperoval (q+2 points): the ML codeword, its
     # message and its corrected positions within radius, None beyond it
     spec = cc.construct_code(4)
     assert spec.N == 6
@@ -466,19 +467,15 @@ def test_geometric_decode_two_errors_q7(spec7):
         assert sorted(res.corrected_positions) == sorted((i, j))
 
 
-def test_geometric_decode_sampled_q8():
-    # even q: the greedy 10-arc at q=8, radius t = 3.  Up to t errors the
-    # sent codeword, its message and the error positions come back; at t+1
-    # and t+2 errors the result is the ML codeword if one lies within t of
-    # the word, and FAIL otherwise
-    spec = cc.construct_code(8)
+def check_sampled_decodes(spec, per_weight, steered, rng):
+    # up to t errors the sent codeword, its message and the error positions
+    # come back; at t+1 and t+2 errors the result is the ML codeword if one
+    # lies within t of the word, and FAIL otherwise
     F = spec.tower
     t = (spec.N - 3) // 2
-    assert (spec.N, t) == (10, 3)
     msgs = list(cc.iter_messages(spec))
-    rng = random.Random(8)
     for weight in range(t + 3):
-        for _ in range(60):
+        for _ in range(per_weight):
             m = msgs[rng.randrange(len(msgs))]
             w = cc.encode(spec, m)
             r = list(w)
@@ -500,7 +497,7 @@ def test_geometric_decode_sampled_q8():
     # and random t+2 errors rarely do, so steer t+2 errors onto a codeword
     # at distance N-2
     lowest = [c for c in cc.enumerate_codewords(spec) if sum(map(bool, c)) == spec.N - 2]
-    for _ in range(30):
+    for _ in range(steered):
         w = cc.encode(spec, msgs[rng.randrange(len(msgs))])
         near = tuple(F.q_add(a, b) for a, b in zip(w, lowest[rng.randrange(len(lowest))]))
         support = [i for i in range(spec.N) if near[i] != w[i]]
@@ -511,6 +508,22 @@ def test_geometric_decode_sampled_q8():
         res = dec.geometric_decode(spec, tuple(r))
         assert res is not None and res.codeword == near
         assert res.corrected_positions == tuple(i for i in range(spec.N) if near[i] != r[i])
+
+
+def test_geometric_decode_sampled_q8():
+    # even q: the 10-point hyperoval at q=8 (the arc the greedy search
+    # also finds), radius t = 3
+    spec = cc.construct_code(8)
+    assert (spec.N, (spec.N - 3) // 2) == (10, 3)
+    check_sampled_decodes(spec, per_weight=60, steered=30, rng=random.Random(8))
+
+
+def test_geometric_decode_sampled_q16():
+    # even q over the GF(2^4) tower: the 18-point hyperoval, radius t = 7
+    spec = cc.construct_code(16)
+    assert spec.lam == build_lambda(spec.tower, "hyperoval")
+    assert (spec.N, (spec.N - 3) // 2) == (18, 7)
+    check_sampled_decodes(spec, per_weight=20, steered=10, rng=random.Random(16))
 
 
 def test_ml_decode(ref):

@@ -7,7 +7,9 @@ as an oracle.  arc_condition_holds is cross-checked against the paper's
 power criterion written out literally here, exhaustively on small subsets
 at q=3 and q=4 and on seeded subsets up to the size bound beyond.  The
 greedy arc search, which tracks secant lines incrementally, is checked
-against the same depth-first search written with arc_condition_holds.
+against the same depth-first search written with arc_condition_holds.  The
+hyperoval (unit circle plus 0) is checked for size q+2 at every even
+q <= 128.
 """
 
 import itertools
@@ -135,6 +137,28 @@ def test_build_lambda_greedy(f4):
     # the decode-beyond benchmark instance
     assert build_lambda(tower_for_q(16), "greedy") == [
         0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236]
+
+
+def test_build_lambda_hyperoval():
+    # the unit circle plus its nucleus 0 reaches the size bound q+2 at every
+    # even q, in ascending order
+    for q in (2, 4, 8, 16, 32, 64, 128):
+        F = tower_for_q(q)
+        lam = build_lambda(F, "hyperoval")
+        assert len(lam) == q + 2 == arc_size_bound(F)
+        assert arc_condition_holds(F, lam)
+        assert lam == sorted(lam) and lam[0] == 0
+        assert all(F.norm(u) == 1 for u in lam[1:])
+    # where the greedy search finds the same arc, the two strategies agree
+    for q in (2, 8):
+        F = tower_for_q(q)
+        assert build_lambda(F, "hyperoval") == build_lambda(F, "greedy")
+
+
+def test_build_lambda_hyperoval_needs_even_q(f5p):
+    for F in (f5p, tower_for_q(3), tower_for_q(9)):
+        with pytest.raises(ValueError, match="even q"):
+            build_lambda(F, "hyperoval")
 
 
 def reference_greedy(F, target, node_budget):

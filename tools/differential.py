@@ -20,7 +20,9 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     from random.Random("encode:<q>");
   - generator_matrix at every prime power q = 2..16;
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
-  - stdout, stderr and exit code of a fixed list of CLI invocations.
+  - stdout, stderr and exit code of a fixed list of CLI invocations,
+    `construct --lambda greedy` at q = 4 and 16 among them, so the greedy
+    strategy stays compared where it is no longer the default.
 The two children run side by side; the whole run takes about 35 s on a
 2-core box under Python 3.11.
 
@@ -144,6 +146,7 @@ CLI_FILES = [
 
 CLI_CASES = (
     [["construct", "--q", str(q)] for q in range(2, 17)]
+    + [["construct", "--q", str(q), "--lambda", "greedy"] for q in (4, 16)]
     + [
         ["construct", "--paper-example"],
         ["encode", "--code", "ref.code", "--message", "7,2"],
