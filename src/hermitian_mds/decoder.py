@@ -43,14 +43,31 @@ project to the same point only if their arc points are collinear with
 (u, v) in AG(2,q), and a line meets the arc at most twice, so each
 projection has multiplicity at most 2.  Two lines share one point, so
 together they hold at most N + 2 projections, fewer than the N + 3 two
-heavy lines need.  So the filter returns the heavy line itself, and the
-factor step only tests whether it divides a form of the fitted curve.
+heavy lines need.  So the filter returns the heavy line itself.
+
+The heavy line L is a component of some curve of minimum degree e
+through the projections, whatever basis the curves of degree e are
+given.  Let need = ceil((N+3)/2), let m and k be the numbers of distinct
+projections on and off L, and let e_off be the least degree of a curve
+through the k off-line ones.  L times such a curve passes through every
+projection, so e <= 1 + e_off.  If e <= e_off, no curve of degree e
+through the projections contains L, since the other factor would be a
+curve of degree e - 1 through the off-line projections.  Each such curve
+then meets L in at most e points (Bezout), so m <= e.  With multiplicity
+at most 2, m >= ceil(need/2); and k <= N - need gives
+e_off <= e'(N - need), the least e' with (e'+1)(e'+2)/2 > N - need.  So
+ceil(need/2) <= m <= e <= e'(N - need), which fails for every N from 3
+to 258.  Hence e = 1 + e_off, and L times a curve of degree e_off is a
+curve of degree e through the projections.  As e <= 1 + e'(N - need)
+<= N - 2 <= q, Bezout also says a curve of degree e contains L exactly
+when it passes through e + 1 of its points.  So the factor step is one
+rank test: some degree-e curve passes through the projections and
+e + 1 points of L.
 
 Center and lifted points are both affine, so projecting Q from P onto
 t = 0 gives the direction Q - P, normalized with its last nonzero entry 1.
 Lines of t = 0 are coefficient triples normalized with their first nonzero
-entry 1, the convention the synthetic division of _divide_once relies
-on.  A heavy line a*x + b*y + c*z = 0 (c != 0) and the center
+entry 1.  A heavy line a*x + b*y + c*z = 0 (c != 0) and the center
 P = (u, v, w, 1) span the plane
 z = -(a/c)*x - (b/c)*y + (a*u + b*v + c*w)/c, so the codeword plane is
 read off in closed form.
@@ -102,7 +119,7 @@ def normalize_point(F, v):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous ternary forms as sparse exponent-triple dicts
+# curves of t = 0 through given points
 # ---------------------------------------------------------------------------
 
 def monomials(e: int):
@@ -110,64 +127,44 @@ def monomials(e: int):
     return [(i, j, e - i - j) for i in range(e, -1, -1) for j in range(e - i, -1, -1)]
 
 
-def fit_min_degree_curve(F, points):
-    """Smallest-degree curves of t=0 through the given distinct points.
+def _curve_through(F, pts, e):
+    """Whether a curve of degree e passes through the points: the
+    evaluation matrix (rows: points; columns: degree-e monomials) has a
+    nontrivial kernel."""
+    mons = monomials(e)
+    rows = [[F.q_mul(F.q_pow(x, i), F.q_mul(F.q_pow(y, j), F.q_pow(z, k)))
+             for (i, j, k) in mons]
+            for (x, y, z) in pts]
+    return MatrixFq(F, rows).rank() < len(mons)
 
-    Returns (e, forms): e is minimal with a nontrivial kernel of the
-    evaluation matrix (rows: points; columns: degree-e monomials), and
-    forms is the canonical kernel basis, each vector re-expressed as a
-    sparse form.  The degree never exceeds q+1 at desk scale.
+
+def fit_min_degree_curve(F, points):
+    """The least degree of a curve of t=0 through the given points.
+
+    The degree never exceeds q+1 at desk scale.
     """
     pts = list(dict.fromkeys(points))
     if not pts:
         raise ValueError("need at least one point")
     e = 1
-    while True:
-        mons = monomials(e)
-        rows = []
-        for (x, y, z) in pts:
-            rows.append([
-                F.q_mul(F.q_pow(x, i), F.q_mul(F.q_pow(y, j), F.q_pow(z, k)))
-                for (i, j, k) in mons
-            ])
-        kern = MatrixFq(F, rows).kernel_basis()
-        if kern:
-            forms = [
-                {mons[t]: v[t] for t in range(len(mons)) if v[t]}
-                for v in kern
-            ]
-            return e, forms
+    while not _curve_through(F, pts, e):
         e += 1
         assert e <= F.q + 1, "fitting degree exceeded q+1"
+    return e
 
 
-def _divide_once(F, form, triple):
-    """Exact quotient of a form by a normalized linear form, else None."""
-    piv = next(i for i, c in enumerate(triple) if c)
-    # triple[piv] == 1 by normalization, so synthetic division needs no scaling
-    rem = dict(form)
-    quot = {}
-    while rem:
-        key = max(rem, key=lambda m: (m[piv], m))
-        if key[piv] == 0:
-            return None  # leftover free of the pivot variable: not divisible
-        coef = rem[key]
-        qkey = list(key)
-        qkey[piv] -= 1
-        qkey = tuple(qkey)
-        quot[qkey] = coef
-        for var, lcoef in enumerate(triple):
-            if not lcoef:
-                continue
-            mk = list(qkey)
-            mk[var] += 1
-            mk = tuple(mk)
-            val = F.q_sub(rem.get(mk, 0), F.q_mul(coef, lcoef))
-            if val:
-                rem[mk] = val
-            else:
-                rem.pop(mk, None)
-    return quot
+def _line_points(F, L):
+    """The q+1 points of the line L (first nonzero coefficient 1) of t = 0,
+    normalized like projections."""
+    piv = next(i for i, c in enumerate(L) if c)
+    f1, f2 = (i for i in range(3) if i != piv)
+    pts = []
+    for s, t in [(1, t) for t in range(F.q)] + [(0, 1)]:
+        p = [0, 0, 0]
+        p[f1], p[f2] = s, t
+        p[piv] = F.q_neg(F.q_add(F.q_mul(L[f1], s), F.q_mul(L[f2], t)))
+        pts.append(normalize_point(F, p))
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +238,8 @@ def geometric_decode(spec: CodeSpec, r):
         L = _heavy_line(F, projs, need)
         if L is None:
             continue
-        _, forms = fit_min_degree_curve(F, projs)
-        if all(_divide_once(F, form, L) is None for form in forms):
-            continue
+        e = fit_min_degree_curve(F, projs)
+        assert _curve_through(F, {*projs, *_line_points(F, L)[:e + 1]}, e)
         a, b, c = L
         s = F.q_inv(c)
         d = F.q_add(F.q_add(F.q_mul(a, u), F.q_mul(b, v)), F.q_mul(c, w))

@@ -8,9 +8,9 @@ to the basis {1, eps}, where eps is a root of the degree-2 modulus ``gq2``
 over GF(q).  The integer encoding doubles as the wire format used by the
 file formats and the CLI.
 
-Multiplication in GF(q) is memoized in a full q x q table built once from
-polynomial arithmetic; GF(q^2) operations reduce to component formulas in
-GF(q).  No discrete-log tables are involved.
+Multiplication in GF(q) is memoized in a full q x q table, built once from
+the powers of a primitive element; GF(q^2) operations reduce to component
+formulas in GF(q).  The discrete logarithm is used only while building.
 """
 
 import math
@@ -82,6 +82,17 @@ def _poly_mod(a, m, p):
                 a[shift + i] = (a[shift + i] - lead * m[i]) % p
         a.pop()
     return _poly_trim(a)
+
+
+def _poly_powers(g, m, p):
+    """Encodings of g^0, g^1, ... modulo m, up to the first power that
+    returns to 1; g is a nonzero polynomial coprime to m."""
+    out, x = [], [1]
+    while True:
+        out.append(_poly_to_int(x, p))
+        x = _poly_mod(_poly_mul(x, g, p), m, p)
+        if x == [1]:
+            return out
 
 
 def _poly_irreducible(m, p: int) -> bool:
@@ -207,16 +218,19 @@ class FieldTower:
                 for pa in polys
             ]
             self._q_neg = [_poly_to_int([(-c) % p for c in pa], p) for pa in polys]
-            gq = self.gq
-            self._q_mul = [
-                [_poly_to_int(_poly_mod(_poly_mul(pa, pb, p), gq, p), p) for pb in polys]
-                for pa in polys
-            ]
-        # inverses by Fermat: a^(q-2)
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.q_pow(a, q - 2)
-        self._q_inv = inv
+            # products from the powers g^0, ..., g^(q-2) of the first
+            # primitive element g: a*b = g^(log a + log b)
+            for g in range(2, q):
+                exp = _poly_powers(polys[g], self.gq, p)
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for i, a in enumerate(exp):
+                log[a] = i
+            exp += exp
+            logs = log[1:]
+            self._q_mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        self._q_inv = [0] + [row.index(1) for row in self._q_mul[1:]]
 
     def _quadratic_has_root(self, g) -> bool:
         c0, c1, _ = g

@@ -2,7 +2,7 @@
 
 Matrices are lists of rows, entries canonical GF(q) integers, with all
 arithmetic delegated to a FieldTower's GF(q) suite.  Everything downstream
-(generator matrices, plane kernels, curve fitting) is small and exact, so
+(generator matrices, plane solves, curve fitting) is small and exact, so
 the implementation favors determinism over asymptotics: row reduction scans
 columns left to right and always picks the first usable pivot row.
 """
@@ -71,25 +71,6 @@ class MatrixFq:
 
     def rank(self):
         return len(self.rref()[1])
-
-    def kernel_basis(self):
-        """Basis of the right kernel, one vector per free column, ascending.
-
-        Each vector has a 1 in its free column and zeros in all later ones,
-        so the basis (and its order) is canonical.
-        """
-        F = self.field
-        R, pivots = self.rref()
-        n = self.ncols
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [0] * n
-            v[fc] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = F.q_neg(R.rows[i][fc])
-            basis.append(v)
-        return basis
 
     def solve(self, b):
         """A particular x with self @ x = b (free variables zero), or None."""

@@ -162,6 +162,15 @@ def test_decode_failure_exit_code(ref_path, capsys):
     assert capsys.readouterr().out == "FAIL\n"
 
 
+def test_decode_within_radius_n5(tmp_path, capsys):
+    # one error on a 5-point q=4 arc (t = 1): the heavy line's multiple lies
+    # among the minimum-degree curves without being a basis vector of them
+    path = str(tmp_path / "n5.code")
+    assert main(["construct", "--q", "4", "--lambda", "0,1,8,10,14", "--out", path]) == 0
+    assert main(["decode", "--code", path, "--word", "3,3,3,2,1"]) == 0
+    assert capsys.readouterr().out == "codeword=3,3,2,2,1\nmessage=3,4\ncorrected=2\n"
+
+
 def test_decode_malformed_word(ref_path, capsys):
     assert main(["decode", "--code", ref_path, "--word", "1,1,1"]) == 1
     assert main(["decode", "--code", ref_path, "--word", "1,1,1,1,1,9"]) == 1

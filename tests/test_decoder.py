@@ -3,8 +3,9 @@
 Centers come from one family, the affine points of the cone generator
 over the first point of z = 0 off the base arc; every codeword plane
 contains exactly one of them.  ml_decode is the independent oracle for
-every guarantee claim; sampled runs use fixed seeds.  The q=4 sweep here
-is exhaustive, as are the q=5 sweeps of the acceptance suite.
+every guarantee claim; sampled runs use fixed seeds.  The q=4 sweep and
+the N=5 sweeps here are exhaustive, as are the q=5 sweeps of the
+acceptance suite.
 """
 
 import collections
@@ -57,7 +58,7 @@ def pg2_points(F):
 
 def pg2_lines(F):
     """All lines of PG(2,q), normalized with their first nonzero
-    coefficient 1 as _divide_once expects."""
+    coefficient 1 as the decoder's lines are."""
     q = F.q
     return ([(1, b, c) for b in range(q) for c in range(q)]
             + [(0, 1, c) for c in range(q)] + [(0, 0, 1)])
@@ -213,15 +214,33 @@ def test_monomials():
     assert all(sum(m) == 4 for m in dec.monomials(4))
 
 
+def e_prime(k):
+    """The least degree e with more degree-e monomials than k points, so
+    that a curve of degree e passes through any k points."""
+    e = 0
+    while (e + 1) * (e + 2) // 2 <= k:
+        e += 1
+    return e
+
+
+def test_bezout_lemma_inequality():
+    # the decoder docstring's lemma: a fitted degree e <= e_off would give
+    # ceil(need/2) <= e <= e'(N - need), which no supported N allows; and
+    # e <= 1 + e'(N - need) <= N - 2 <= q, so e + 1 points of L exist
+    for N in range(3, 259):
+        need = (N + 4) // 2
+        assert (need + 1) // 2 > e_prime(N - need)
+        assert 1 + e_prime(N - need) <= N - 2
+
+
 def test_fit_min_degree_curve_line(ref):
     F = ref.tower
     pts = [(0, 0, 1), (1, 1, 1), (2, 2, 1)]  # on x = y
-    e, forms = dec.fit_min_degree_curve(F, pts)
-    assert e == 1
-    assert len(forms) == 1
-    coeffs = [forms[0].get(m, 0) for m in dec.monomials(1)]
-    s = F.q_inv(next(c for c in coeffs if c))
-    assert [F.q_mul(s, c) for c in coeffs] == [1, 4, 0]  # x - y
+    assert dec.fit_min_degree_curve(F, pts) == 1
+    assert dec._curve_through(F, pts, 1)
+    assert not dec._curve_through(F, pts, 0)
+    assert dec._curve_through(F, pts + [(4, 4, 1), (1, 1, 0)], 1)
+    assert not dec._curve_through(F, pts + [(1, 0, 1)], 1)
     with pytest.raises(ValueError):
         dec.fit_min_degree_curve(F, [])
 
@@ -229,11 +248,9 @@ def test_fit_min_degree_curve_line(ref):
 def test_fit_min_degree_curve_general_position(ref):
     F = ref.tower
     pts = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]  # no 3 collinear
-    e, forms = dec.fit_min_degree_curve(F, pts)
-    assert e == 2
-    for form in forms:
-        for p in pts:
-            assert form_value(F, form, p) == 0
+    assert dec.fit_min_degree_curve(F, pts) == 2
+    assert dec._curve_through(F, pts, 2)
+    assert not dec._curve_through(F, pts, 1)
 
 
 def test_fit_vanishes_on_inputs(ref):
@@ -241,71 +258,56 @@ def test_fit_vanishes_on_inputs(ref):
     rng = random.Random(31)
     for _ in range(20):
         pts = [(rng.randrange(5), rng.randrange(5), 1) for _ in range(rng.randint(1, 8))]
-        e, forms = dec.fit_min_degree_curve(F, pts)
+        e = dec.fit_min_degree_curve(F, pts)
         assert 1 <= e <= F.q + 1
-        assert forms
-        for form in forms:
-            assert any(form.values())
-            for p in pts:
-                assert form_value(F, form, p) == 0
+        assert dec._curve_through(F, pts, e)
+        assert not dec._curve_through(F, pts, e - 1)
 
 
-def test_divide_once_basic(ref):
-    F = ref.tower
-    xy = {(1, 1, 0): 1}
-    assert dec._divide_once(F, xy, (1, 0, 0)) == {(0, 1, 0): 1}
-    assert dec._divide_once(F, xy, (0, 1, 0)) == {(1, 0, 0): 1}
-    # x^2 + y^2 = (x + 2y)(x + 3y) over GF(5)
-    conic = {(2, 0, 0): 1, (0, 2, 0): 1}
-    for L in [(1, 2, 0), (1, 3, 0)]:
-        quot = dec._divide_once(F, conic, L)
-        assert quot is not None
-        assert form_mul(F, quot, linear_form(L)) == conic
-    assert dec._divide_once(F, conic, (1, 0, 0)) is None
-
-
-def test_divide_once_multiplicity(ref):
-    F = ref.tower
-    # x^2 * y divided by x leaves x * y, which x divides once more
-    quot = dec._divide_once(F, {(2, 1, 0): 1}, (1, 0, 0))
-    assert quot == {(1, 1, 0): 1}
-    assert dec._divide_once(F, quot, (1, 0, 0)) == {(0, 1, 0): 1}
-
-
-def test_divide_once_irreducible_conic(ref):
-    # the norm form x^2 + T(eps) xy + N(eps) y^2 has no roots, hence no
-    # linear factors
-    F = ref.tower
-    conic = {(2, 0, 0): 1, (1, 1, 0): F.trace(F.eps), (0, 2, 0): F.norm(F.eps)}
-    assert all(dec._divide_once(F, conic, L) is None for L in pg2_lines(F))
+def test_line_points():
+    # q+1 distinct normalized points on every line of PG(2,q)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = tower_for_q(q)
+        points = pg2_points(F)
+        for L in pg2_lines(F):
+            on = dec._line_points(F, L)
+            assert len(on) == len(set(on)) == q + 1
+            assert set(on) == {p for p in points if form_value(F, linear_form(L), p) == 0}
 
 
 def test_factorization_product_identity():
-    # a form of degree e <= q is divisible by a line exactly when it
-    # vanishes on the line's q+1 points, and a quotient times the line
-    # gives the form back
+    # the factor step's assertion: a form of degree e <= q that vanishes at
+    # e+1 points of a line vanishes at all q+1 of them (so the line divides
+    # it), while e points are not enough
     for q in (4, 5):
-        spec = cc.construct_code(q)
-        F = spec.tower
-        points = pg2_points(F)
+        F = tower_for_q(q)
+        lines = pg2_lines(F)
         rng = random.Random(q * 11)
-        for i in range(50):
+        for i in range(60):
             e = rng.randint(1, q)
-            # every other form is built with a linear factor, so both
-            # outcomes of the division occur
-            form = {m: c for m in dec.monomials(e - i % 2) if (c := rng.randrange(F.q))}
-            if not form:
-                continue
-            if i % 2:
-                form = form_mul(F, form, linear_form(rng.choice(pg2_lines(F))))
-            for L in pg2_lines(F):
-                on_line = [p for p in points if form_value(F, linear_form(L), p) == 0]
-                assert len(on_line) == q + 1
-                vanishes = all(form_value(F, form, p) == 0 for p in on_line)
-                quot = dec._divide_once(F, form, L)
-                assert (quot is not None) == vanishes
-                if quot is not None:
-                    assert form_mul(F, quot, linear_form(L)) == form
+            L = rng.choice(lines)
+            on = dec._line_points(F, L)
+            if i % 3 == 0:
+                # a multiple of L
+                form = {m: c for m in dec.monomials(e - 1) if (c := rng.randrange(q))}
+                form = form_mul(F, form or {(0, 0, 0): 1}, linear_form(L))
+            elif i % 3 == 1:
+                # e lines, each meeting L in one of its first e points only
+                form = {(0, 0, 0): 1}
+                for p in on[:e]:
+                    M = next(M for M in lines if M != L
+                             and form_value(F, linear_form(M), p) == 0)
+                    form = form_mul(F, form, linear_form(M))
+            else:
+                form = {m: c for m in dec.monomials(e) if (c := rng.randrange(q))}
+            vanish = [form_value(F, form, p) == 0 for p in on]
+            if i % 3 == 0:
+                assert all(vanish)
+            elif i % 3 == 1:
+                assert vanish == [True] * e + [False] * (q + 1 - e)
+            for M in lines:
+                vanish = [form_value(F, form, p) == 0 for p in dec._line_points(F, M)]
+                assert all(vanish[:e + 1]) == all(vanish)
 
 
 def test_plane_message_codeword_trivial(ref):
@@ -417,6 +419,40 @@ def test_geometric_decode_exhaustive_q4():
             assert res is None
     # 64 codewords, each with 1 + 6*3 words at distance <= 1
     assert within == 64 * 19
+
+
+def check_exhaustive_against_ml(spec):
+    # every word: the ML codeword within radius; beyond it FAIL, or a word
+    # within the radius
+    q, N = spec.tower.q, spec.N
+    t = (N - 3) // 2
+    for r in itertools.product(range(q), repeat=N):
+        best, _tie = dec.ml_decode(spec, r)
+        res = dec.geometric_decode(spec, r)
+        if dec.hamming_distance(best, r) <= t:
+            assert res is not None and res.codeword == best, r
+        elif res is not None:
+            assert dec.hamming_distance(res.codeword, r) <= t, r
+
+
+def test_geometric_decode_exhaustive_n5():
+    # N = 5 (and 9) is where a heavy line's multiple can sit in the span of
+    # the degree-e curves without being a basis vector; every 5-subset of
+    # the q=4 hyperoval, and a q=5 arc
+    hyperoval = cc.construct_code(4).lam
+    for lam in itertools.combinations(hyperoval, 5):
+        check_exhaustive_against_ml(cc.construct_code(4, "explicit", arc_values=lam))
+    check_exhaustive_against_ml(cc.construct_code(5, "explicit", arc_values=[1, 7, 8, 22, 23]))
+
+
+def test_geometric_decode_pinned_n9():
+    spec = cc.construct_code(9, "explicit", arc_values=[1, 2, 13, 17, 26, 41, 43, 77, 79])
+    r = (3, 8, 7, 5, 4, 2, 1, 1, 6)
+    best, tie = dec.ml_decode(spec, r)
+    assert dec.hamming_distance(best, r) == 3 == (spec.N - 3) // 2 and not tie
+    res = dec.geometric_decode(spec, r)
+    assert res is not None and res.codeword == best
+    assert res.corrected_positions == (3, 5, 8)
 
 
 def test_geometric_decode_needs_a_point_off_the_arc():

@@ -93,6 +93,35 @@ def test_smallest_irreducible_is_irreducible():
             assert acc != 0
 
 
+def poly_product(a, b, p, h, gq):
+    """a*b in GF(p^h) by schoolbook multiplication of the base-p digit
+    polynomials, reduced modulo the monic gq."""
+    da = [a // p ** i % p for i in range(h)]
+    db = [b // p ** i % p for i in range(h)]
+    prod = [0] * (2 * h - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * h - 2, h - 1, -1):
+        lead = prod[k]
+        for i in range(h + 1):
+            prod[k - h + i] = (prod[k - h + i] - lead * gq[i]) % p
+    return sum(c * p ** i for i, c in enumerate(prod[:h]))
+
+
+def test_q_tables_against_polynomial_products():
+    # the GF(q) product table is built from the powers of a primitive
+    # element; every h > 1 field up to q = 64 is checked pair by pair
+    for q in (4, 8, 9, 16, 25, 27, 32, 49, 64):
+        F = tower_for_q(q)
+        assert F.h > 1
+        for a in range(q):
+            for b in range(q):
+                assert F.q_mul(a, b) == poly_product(a, b, F.p, F.h, F.gq)
+            if a:
+                assert F.q_mul(a, F.q_inv(a)) == 1
+
+
 def test_field_axioms_exhaustive(towers):
     for q in (2, 3, 4, 5):
         F = towers[q]
