@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import code as cc
 from . import decoder as dec
 from .geometry import arc_condition_holds
+from .linalg import rank, rref
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,7 +206,7 @@ def cmd_verify(args) -> int:
               "every symbol is the five-term Hermitian form")
         d = cc.min_distance(spec)
         G = cc.generator_matrix(spec)
-        claim("parameters", G.rank() == 3 and d == N - 2, f"[{N},3,{d}]")
+        claim("parameters", rank(F, G) == 3 and d == N - 2, f"[{N},3,{d}]")
         claim("mds-minors", cc.is_mds(spec), "all 3-column minors nonsingular")
         claim("singleton-equality", d == N - 3 + 1, "d = N-k+1 with k=3")
         pair_counts = {
@@ -226,9 +227,7 @@ def cmd_verify(args) -> int:
         rows.append(("weights-a_n-expanded", "INFO",
                      f"expanded form {a_n} vs enumeration {we[N]}"))
         if cc.is_reference_instance(spec):
-            from .linalg import MatrixFq
-            ref_rref = MatrixFq(F, cc.REFERENCE_Q5_G_ROWS).rref()[0]
-            claim("reference-row-space", G == ref_rref,
+            claim("reference-row-space", G == rref(F, cc.REFERENCE_Q5_G_ROWS)[0],
                   "generator row space matches the known q=5 matrix")
             claim("reference-weights",
                   {i: we[i] for i in (4, 5, 6)} == cc.REFERENCE_Q5_WEIGHTS,

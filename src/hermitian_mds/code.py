@@ -30,7 +30,7 @@ from .geometry import (
     validate_arc,
     validate_transversal,
 )
-from .linalg import MatrixFq
+from .linalg import rank, rref
 
 ENUMERATION_BUDGET = 1 << 20  # max q^3 for exhaustive codeword scans
 
@@ -150,12 +150,12 @@ def plane_to_codeword(spec: CodeSpec, plane):
 
 def codeword_to_plane(spec: CodeSpec, w):
     """Recover (c1, c2, c0) from a codeword; raises if w is not in the code."""
-    F = spec.tower
     w = validate_word(spec, w)
-    sol = MatrixFq(F, [(l1, l2, 1) for l1, l2 in spec.coords]).solve(list(w))
-    if sol is None or plane_to_codeword(spec, tuple(sol)) != w:
+    R, pivots = rref(spec.tower, [(l1, l2, 1, c) for (l1, l2), c in zip(spec.coords, w)])
+    if 3 in pivots:
         raise ValueError("word is not a codeword")
-    return tuple(sol)
+    # an arc has three non-collinear points, so columns 0..2 are the pivots
+    return tuple(row[3] for row in R[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +199,11 @@ def enumerate_codewords(spec: CodeSpec):
     return spec.codewords
 
 
-def generator_matrix(spec: CodeSpec) -> MatrixFq:
-    """Canonical 3xN generator: the rref of the codewords [lam_i^1],
-    [lam_i^2] and [1] of the planes (1,0,0), (0,1,0) and (0,0,1)."""
+def generator_matrix(spec: CodeSpec) -> list:
+    """Canonical 3xN generator, as a list of rows: the rref of the codewords
+    [lam_i^1], [lam_i^2] and [1] of the planes (1,0,0), (0,1,0), (0,0,1)."""
     l1, l2 = zip(*spec.coords)
-    return MatrixFq(spec.tower, [l1, l2, [1] * spec.N]).rref()[0]
+    return rref(spec.tower, [l1, l2, [1] * spec.N])[0]
 
 
 def min_distance(spec: CodeSpec) -> int:
@@ -217,12 +217,9 @@ def is_mds(spec: CodeSpec) -> bool:
     basis, not the enumerated codewords, so it is an independent check of
     min_distance(spec) == N-2.
     """
-    G = generator_matrix(spec)
-    cols = list(zip(*G.rows))
-    return all(
-        MatrixFq(spec.tower, [list(r) for r in zip(cols[i], cols[j], cols[k])]).rank() == 3
-        for i, j, k in combinations(range(spec.N), 3)
-    )
+    F = spec.tower
+    cols = list(zip(*generator_matrix(spec)))
+    return all(rank(F, [ci, cj, ck]) == 3 for ci, cj, ck in combinations(cols, 3))
 
 
 def weight_distribution(spec: CodeSpec, method: str = "enumerate"):

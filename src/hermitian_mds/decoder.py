@@ -85,7 +85,7 @@ from .code import (  # the plane maps are re-exported under their old names
     plane_to_message,
     validate_word,
 )
-from .linalg import MatrixFq
+from .linalg import rank
 
 
 def hamming_distance(a, b) -> int:
@@ -131,11 +131,20 @@ def _curve_through(F, pts, e):
     """Whether a curve of degree e passes through the points: the
     evaluation matrix (rows: points; columns: degree-e monomials) has a
     nontrivial kernel."""
+    MUL = F.q_mul_table
+
+    def powers(v):  # v^0, ..., v^e
+        out = [1]
+        for _ in range(e):
+            out.append(MUL[out[-1]][v])
+        return out
+
     mons = monomials(e)
-    rows = [[F.q_mul(F.q_pow(x, i), F.q_mul(F.q_pow(y, j), F.q_pow(z, k)))
-             for (i, j, k) in mons]
-            for (x, y, z) in pts]
-    return MatrixFq(F, rows).rank() < len(mons)
+    rows = []
+    for pt in pts:
+        px, py, pz = map(powers, pt)
+        rows.append([MUL[px[i]][MUL[py[j]][pz[k]]] for i, j, k in mons])
+    return rank(F, rows) < len(mons)
 
 
 def fit_min_degree_curve(F, points):

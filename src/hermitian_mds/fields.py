@@ -8,9 +8,13 @@ to the basis {1, eps}, where eps is a root of the degree-2 modulus ``gq2``
 over GF(q).  The integer encoding doubles as the wire format used by the
 file formats and the CLI.
 
-Multiplication in GF(q) is memoized in a full q x q table, built once from
-the powers of a primitive element; GF(q^2) operations reduce to component
-formulas in GF(q).  The discrete logarithm is used only while building.
+GF(q) arithmetic is memoized in full tables, built once per tower and
+public for callers that bind them in their inner loops: q_add_table and
+q_mul_table (q x q), q_neg_table and q_inv_table (length q, q_inv_table[0]
+unused).  They are read-only.  Sums are widened digit by digit from the
+GF(p) table; products come from the powers of a primitive element, and
+the discrete logarithm is used only while building.  GF(q^2) operations
+reduce to component formulas in GF(q).
 """
 
 import math
@@ -205,23 +209,23 @@ class FieldTower:
 
     def _build_q_tables(self):
         p, h, q = self.p, self.h, self.q
+        # sums digit by digit: a = a0 + p*a' adds as (a0 + b0) % p + p*(a' + b')
+        base = add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for _ in range(h - 1):
+            prev, size = add, len(add) * p
+            add = []
+            for a in range(size):
+                lo, hi = base[a % p], prev[a // p]
+                add.append([lo[b % p] + p * hi[b // p] for b in range(size)])
+        self.q_add_table = add
+        self.q_neg_table = [row.index(0) for row in add]
         if h == 1:
-            self._q_add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._q_neg = [(-a) % p for a in range(p)]
-            self._q_mul = [[(a * b) % p for b in range(p)] for a in range(p)]
+            self.q_mul_table = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            polys = [_int_to_poly(a, p) for a in range(q)]
-            self._q_add = [
-                [_poly_to_int([((pa[i] if i < len(pa) else 0) + (pb[i] if i < len(pb) else 0)) % p
-                               for i in range(h)], p)
-                 for pb in polys]
-                for pa in polys
-            ]
-            self._q_neg = [_poly_to_int([(-c) % p for c in pa], p) for pa in polys]
             # products from the powers g^0, ..., g^(q-2) of the first
             # primitive element g: a*b = g^(log a + log b)
             for g in range(2, q):
-                exp = _poly_powers(polys[g], self.gq, p)
+                exp = _poly_powers(_int_to_poly(g, p), self.gq, p)
                 if len(exp) == q - 1:
                     break
             log = [0] * q
@@ -229,8 +233,8 @@ class FieldTower:
                 log[a] = i
             exp += exp
             logs = log[1:]
-            self._q_mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
-        self._q_inv = [0] + [row.index(1) for row in self._q_mul[1:]]
+            self.q_mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        self.q_inv_table = [0] + [row.index(1) for row in self.q_mul_table[1:]]
 
     def _quadratic_has_root(self, g) -> bool:
         c0, c1, _ = g
@@ -249,33 +253,21 @@ class FieldTower:
     # -- GF(q) arithmetic on integers in [0, q) ------------------------------
 
     def q_add(self, a: int, b: int) -> int:
-        return self._q_add[a][b]
+        return self.q_add_table[a][b]
 
     def q_neg(self, a: int) -> int:
-        return self._q_neg[a]
+        return self.q_neg_table[a]
 
     def q_sub(self, a: int, b: int) -> int:
-        return self._q_add[a][self._q_neg[b]]
+        return self.q_add_table[a][self.q_neg_table[b]]
 
     def q_mul(self, a: int, b: int) -> int:
-        return self._q_mul[a][b]
+        return self.q_mul_table[a][b]
 
     def q_inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inverse of zero in GF(q)")
-        return self._q_inv[a]
-
-    def q_pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.q_pow(self.q_inv(a), -n)
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.q_mul(result, base)
-            base = self.q_mul(base, base)
-            n >>= 1
-        return result
+        return self.q_inv_table[a]
 
     # -- GF(q^2) arithmetic on integers in [0, q^2) ---------------------------
 
@@ -288,11 +280,11 @@ class FieldTower:
 
     def add(self, a: int, b: int) -> int:
         q = self.q
-        return self._q_add[a % q][b % q] + q * self._q_add[a // q][b // q]
+        return self.q_add_table[a % q][b % q] + q * self.q_add_table[a // q][b // q]
 
     def neg(self, a: int) -> int:
         q = self.q
-        return self._q_neg[a % q] + q * self._q_neg[a // q]
+        return self.q_neg_table[a % q] + q * self.q_neg_table[a // q]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -301,8 +293,8 @@ class FieldTower:
         q = self.q
         a0, a1 = a % q, a // q
         b0, b1 = b % q, b // q
-        mul = self._q_mul
-        add = self._q_add
+        mul = self.q_mul_table
+        add = self.q_add_table
         cross = mul[a1][b1]
         lo = add[mul[a0][b0]][mul[cross][self._r0]]
         hi = add[add[mul[a0][b1]][mul[a1][b0]]][mul[cross][self._r1]]
@@ -316,9 +308,9 @@ class FieldTower:
         n = self.mul(a, conj)
         if n >= self.q:
             raise FieldError("norm left GF(q); broken field core")
-        s = self._q_inv[n]
+        s = self.q_inv_table[n]
         q = self.q
-        return self._q_mul[conj % q][s] + q * self._q_mul[conj // q][s]
+        return self.q_mul_table[conj % q][s] + q * self.q_mul_table[conj // q][s]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -342,7 +334,7 @@ class FieldTower:
         q = self.q
         u0, u1 = u % q, u // q
         e0, e1 = self.eps_q % q, self.eps_q // q
-        return self._q_add[u0][self._q_mul[u1][e0]] + q * self._q_mul[u1][e1]
+        return self.q_add_table[u0][self.q_mul_table[u1][e0]] + q * self.q_mul_table[u1][e1]
 
     def trace(self, u: int) -> int:
         """u^q + u, landing in GF(q)."""

@@ -25,7 +25,7 @@ def form_value(F, form, pt):
     x, y, z = pt
     acc = 0
     for (i, j, k), coef in form.items():
-        term = F.q_mul(coef, F.q_mul(F.q_pow(x, i), F.q_mul(F.q_pow(y, j), F.q_pow(z, k))))
+        term = F.q_mul(coef, F.q_mul(F.pow(x, i), F.q_mul(F.pow(y, j), F.pow(z, k))))
         acc = F.q_add(acc, term)
     return acc
 

@@ -109,7 +109,29 @@ def poly_product(a, b, p, h, gq):
     return sum(c * p ** i for i, c in enumerate(prod[:h]))
 
 
+def digit_sum(a, b, p):
+    """a+b in GF(p^h): base-p digits added mod p, no carries."""
+    out, place = 0, 1
+    while a or b:
+        out += (a + b) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
 def test_q_tables_against_polynomial_products():
+    # the GF(q) sum table is widened digit by digit from GF(p); every
+    # prime power q <= 256 is checked pair by pair, and so are negatives
+    for q in range(2, 257):
+        try:
+            p, h = factor_prime_power(q)
+        except FieldError:
+            continue
+        F = tower_for_q(q)
+        for a in range(q):
+            row = F.q_add_table[a]
+            assert row == [digit_sum(a, b, p) for b in range(q)], (q, a)
+            neg = sum(-(a // p ** i) % p * p ** i for i in range(h))
+            assert F.q_neg(a) == neg and row[neg] == 0
     # the GF(q) product table is built from the powers of a primitive
     # element; every h > 1 field up to q = 64 is checked pair by pair
     for q in (4, 8, 9, 16, 25, 27, 32, 49, 64):

@@ -28,12 +28,6 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
 The two children run side by side; the whole run takes about 35 s on a
 2-core box under Python 3.11.
 
-Older checkouts return the center and the factor in a `witness` dict,
-newer ones as DecodeResult fields; both are read.  The dict's
-`tied_factors` entry is not compared: at one center at most one line holds
-ceil((N+3)/2) projections, so it was always empty, and newer checkouts no
-longer report it.
-
 Stdlib only.
 """
 
@@ -57,12 +51,7 @@ def emit_decoder(cc, dec, out):
         res = dec.geometric_decode(spec, r)
         if res is None:
             return "FAIL"
-        witness = getattr(res, "witness", None)
-        if witness is None:
-            center, factor = res.center, res.factor
-        else:
-            center, factor = witness["center"], witness["factor"]
-        return repr((res.codeword, res.message, res.corrected_positions, center, factor))
+        return repr((res.codeword, res.message, res.corrected_positions, res.center, res.factor))
 
     def seeded(spec, tag, n):
         q, N, t = spec.tower.q, spec.N, (spec.N - 3) // 2
@@ -125,7 +114,8 @@ def emit_encodes(cc, dec, out):
 
 def emit_generators(cc, dec, out):
     for q in PRIME_POWERS:
-        out(f"generator q={q}", repr(cc.generator_matrix(cc.construct_code(q)).rows))
+        G = cc.generator_matrix(cc.construct_code(q))
+        out(f"generator q={q}", repr(getattr(G, "rows", G)))  # older checkouts: a MatrixFq
 
 
 def emit_simulations(cc, dec, out):
