@@ -52,7 +52,10 @@ class CodeSpec:
 
     Validates the arc, the transversal, and the 2x2 trace pairing on the
     basis {1, eps} (the decoder inverts that pairing, so a degenerate one
-    would be fatal; for a separable extension it never is).
+    would be fatal; for a separable extension it never is).  This is the
+    one gate for arcs and transversals: build_lambda and build_transversal
+    do not re-check what they construct, so each is checked once per
+    instance.
 
     Holds the plane basis of the code: coords[i] = (lam_i^1, lam_i^2), the
     components of lam_i, so the codeword of the plane z = c1*x + c2*y + c0

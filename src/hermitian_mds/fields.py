@@ -15,6 +15,13 @@ unused).  They are read-only.  Sums are widened digit by digit from the
 GF(p) table; products come from the powers of a primitive element, and
 the discrete logarithm is used only while building.  GF(q^2) operations
 reduce to component formulas in GF(q).
+
+One formula serves every quadratic question: the list of x*(x + c1) over
+x in GF(q).  X^2 + c1*X + c0 has a root iff -c0 is in it, so the default
+gq2 (the first rootless monic quadratic in encoding order c0 + q*c1) costs
+one list per c1; and since the norm is the quadratic form
+N(x0 + eps*x1) = x0^2 + r1*x0*x1 - r0*x1^2, norm_circle reads each of its
+rows x1 off one such list instead of evaluating the norm per element.
 """
 
 import math
@@ -40,17 +47,14 @@ def factor_prime_power(q: int):
     """Return (p, h) with q = p^h, or raise FieldError."""
     if q < 2:
         raise FieldError(f"q={q} is not a prime power")
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            h = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                h += 1
-            if m != 1:
-                raise FieldError(f"q={q} is not a prime power")
-            return p, h
-    raise FieldError(f"q={q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least divisor is prime
+    h, m = 0, q
+    while m % p == 0:
+        m //= p
+        h += 1
+    if m != 1:
+        raise FieldError(f"q={q} is not a prime power")
+    return p, h
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +213,10 @@ class FieldTower:
 
     def _build_q_tables(self):
         p, h, q = self.p, self.h, self.q
-        # sums digit by digit: a = a0 + p*a' adds as (a0 + b0) % p + p*(a' + b')
-        base = add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        # sums digit by digit: a = a0 + p*a' adds as (a0 + b0) % p + p*(a' + b');
+        # row a of GF(p) is 0..p-1 rotated left by a
+        digits = list(range(p))
+        base = add = [digits[a:] + digits[:a] for a in range(p)]
         for _ in range(h - 1):
             prev, size = add, len(add) * p
             add = []
@@ -236,18 +242,22 @@ class FieldTower:
             self.q_mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
         self.q_inv_table = [0] + [row.index(1) for row in self.q_mul_table[1:]]
 
+    def _quadratic_values(self, c1):
+        """x*(x + c1) = x^2 + c1*x for every x in GF(q), indexed by x."""
+        add, mul = self.q_add_table, self.q_mul_table
+        return [mul[x][add[x][c1]] for x in range(self.q)]
+
     def _quadratic_has_root(self, g) -> bool:
         c0, c1, _ = g
-        for x in range(self.q):
-            if self.q_add(self.q_add(self.q_mul(x, x), self.q_mul(c1, x)), c0) == 0:
-                return True
-        return False
+        return self.q_neg_table[c0] in self._quadratic_values(c1)
 
     def _smallest_irreducible_quadratic(self):
-        for enc in range(self.q2):
-            g = [enc % self.q, enc // self.q, 1]
-            if not self._quadratic_has_root(g):
-                return g
+        # encoding order c0 + q*c1: one value set per c1, then every c0
+        for c1 in range(self.q):
+            values = set(self._quadratic_values(c1))
+            for c0 in range(self.q):
+                if self.q_neg_table[c0] not in values:
+                    return [c0, c1, 1]
         raise FieldError("no irreducible quadratic found")  # unreachable
 
     # -- GF(q) arithmetic on integers in [0, q) ------------------------------
@@ -349,6 +359,22 @@ class FieldTower:
         if n >= self.q:
             raise FieldError("norm left GF(q); broken field core")
         return n
+
+    def norm_circle(self, c: int):
+        """All u with norm(u) = c, ascending.
+
+        The norm is the quadratic form N(x0 + eps*x1) = x0^2 + r1*x0*x1 -
+        r0*x1^2 (eps^2 = r0 + r1*eps), so for each x1 the circle's x0 are
+        the roots of x0*(x0 + r1*x1) = c + r0*x1^2.
+        """
+        q, add, mul = self.q, self.q_add_table, self.q_mul_table
+        r0, r1 = self._r0, self._r1
+        out = []
+        for x1 in range(q):
+            target = add[c][mul[r0][mul[x1][x1]]]
+            values = self._quadratic_values(mul[r1][x1])
+            out.extend(x0 + q * x1 for x0 in range(q) if values[x0] == target)
+        return out
 
     # -- misc ------------------------------------------------------------------
 

@@ -4,40 +4,45 @@ GF(q^2) is identified with AG(2,q) through the basis {1, eps}; a subset of
 GF(q^2) is usable as an evaluation support iff it is an arc there.  The
 paper's power condition for that is tested as distinct slopes from a new
 point to the points already chosen (_extends_arc, behind
-arc_condition_holds).  The slope of a direction is computed by one formula,
-_slope, shared by _extends_arc and by the secant counts of the greedy arc
-search, which blocks every point on a line through two chosen points.  For
-even q no search is needed: the unit circle plus 0 is a (q+2)-arc, the
-hyperoval strategy.  A transversal S holds one representative per coset of
-the trace-zero subgroup, so trace restricted to S is a bijection onto GF(q).
+arc_condition_holds), on decomposed (x0, x1) coordinates.  The slope of a
+direction is computed by one formula, _slopes, which binds the GF(q)
+tables once per call; it is shared by _extends_arc and by the secant
+counts of the greedy arc search, which blocks every point on a line
+through two chosen points.  The norm circle comes from the norm's
+quadratic form (FieldTower.norm_circle); for even q no search is needed,
+since the unit circle plus 0 is a (q+2)-arc, the hyperoval strategy.  A
+transversal S holds one representative per coset of the trace-zero
+subgroup, so trace restricted to S is a bijection onto GF(q).
 
+build_lambda and build_transversal check only what a caller supplies
+(explicit arc values); their other strategies are arcs and transversals
+by construction, and code.CodeSpec validates both once for every instance
+it is given.
 All enumeration orders are fixed so construction output is reproducible
 byte for byte.
 """
 
 
-def _slope(F, d):
-    """AG(2,q) slope of the direction d = d0 + eps*d1: d1/d0, or q if d0 = 0."""
-    d0, d1 = F.decompose(d)
-    return F.q_mul(d1, F.q_inv(d0)) if d0 else F.q
+def _slopes(F, pts, apex):
+    """AG(2,q) slopes of the directions from apex to each point of pts, all
+    as (x0, x1) coordinates: (x1 - a1)/(x0 - a0), or q when x0 = a0."""
+    q, neg, mul, inv = F.q, F.q_neg_table, F.q_mul_table, F.q_inv_table
+    # from0[x0] = x0 - a0 and from1[x1] = x1 - a1
+    from0, from1 = F.q_add_table[neg[apex[0]]], F.q_add_table[neg[apex[1]]]
+    return [mul[from1[x1]][inv[d0]] if (d0 := from0[x0]) else q for x0, x1 in pts]
 
 
-def _extends_arc(F, arc, new):
-    """Whether no two elements of arc are collinear with new in AG(2,q).
+def _extends_arc(F, pts, new):
+    """Whether no two points of pts are collinear with new in AG(2,q), all
+    given as (x0, x1) coordinates.
 
     This is the paper's power criterion with new as the apex beta: for
     alpha, gamma != beta, ((alpha-beta)/(gamma-beta))^(q-1) = 1 iff the
     ratio lies in GF(q)*, iff alpha-beta and gamma-beta are GF(q)-multiples
-    of each other, i.e. have the same _slope in AG(2,q).  Returns False at
-    the first repeated slope.
+    of each other, i.e. have the same slope in AG(2,q) (_slopes).
     """
-    slopes = set()
-    for alpha in arc:
-        slope = _slope(F, F.sub(alpha, new))
-        if slope in slopes:
-            return False
-        slopes.add(slope)
-    return True
+    slopes = _slopes(F, pts, new)
+    return len(set(slopes)) == len(slopes)
 
 
 def arc_condition_holds(F, lam):
@@ -51,7 +56,8 @@ def arc_condition_holds(F, lam):
     lam = list(lam)
     if len(set(lam)) != len(lam):
         raise ValueError("duplicate elements in arc candidate")
-    return all(_extends_arc(F, lam[:i], lam[i]) for i in range(len(lam)))
+    pts = [F.decompose(u) for u in lam]
+    return all(_extends_arc(F, pts[:i], pts[i]) for i in range(len(pts)))
 
 
 def arc_size_bound(F):
@@ -91,8 +97,7 @@ def _greedy_arc(F, target, node_budget=500_000):
     def secants(arc, g):
         g0, g1 = F.decompose(g)
         out = []
-        for alpha in arc:
-            slope = _slope(F, F.sub(alpha, g))
+        for slope in _slopes(F, [F.decompose(alpha) for alpha in arc], (g0, g1)):
             # the line is x = c when vertical, else y = slope*x + c
             c = g0 if slope == q else F.q_sub(g1, F.q_mul(slope, g0))
             if (slope, c) not in lines:
@@ -140,7 +145,9 @@ def build_lambda(F, strategy, values=None, c=1):
     (q+2)-arc, the size bound (Hirschfeld, Projective Geometries over
     Finite Fields, ch. 8).
     strategy 'greedy': backtracking search targeting the size bound.
-    Every strategy re-validates through arc_condition_holds.
+    Only explicit values are checked here; the structural strategies are
+    arcs by construction, and CodeSpec is the gate that validates every
+    arc it is given.
     """
     if strategy == "explicit":
         if values is None:
@@ -149,18 +156,16 @@ def build_lambda(F, strategy, values=None, c=1):
     if strategy == "norm_circle":
         if not 0 < c < F.q:
             raise ValueError("norm_circle needs a nonzero GF(q) target")
-        lam = [u for u in F.elements() if F.norm(u) == c]
-        return validate_arc(F, lam)
+        return F.norm_circle(c)
     if strategy == "hyperoval":
         if F.q % 2:
             raise ValueError("a hyperoval needs even q")
-        lam = [u for u in F.elements() if u == 0 or F.norm(u) == 1]
-        return validate_arc(F, lam)
+        return [0] + F.norm_circle(1)
     if strategy == "greedy":
         lam = _greedy_arc(F, arc_size_bound(F))
         if len(lam) < 3:
             raise ValueError("greedy search found no arc of size >= 3")
-        return validate_arc(F, lam)
+        return lam
     raise ValueError(f"unknown arc strategy {strategy!r}")
 
 
@@ -183,12 +188,13 @@ def build_transversal(F, strategy):
     strategy 'subfield': S = GF(q) itself (odd q only; trace(c) = 2c).
     strategy 'unit_trace': S = {c*mu : c in GF(q)} for the first mu in
     integer order with trace(mu) = 1.
+    Both are transversals by construction; CodeSpec validates them.
     """
     if strategy == "subfield":
         if F.q % 2 == 0:
             raise ValueError("GF(q) lies in the trace kernel for even q")
-        return validate_transversal(F, list(range(F.q)))
+        return list(range(F.q))
     if strategy == "unit_trace":
         mu = next(u for u in F.elements() if F.trace(u) == 1)
-        return validate_transversal(F, [F.mul(c, mu) for c in range(F.q)])
+        return [F.mul(c, mu) for c in range(F.q)]
     raise ValueError(f"unknown transversal strategy {strategy!r}")

@@ -130,7 +130,11 @@ def test_construct_explicit_lambda_keeps_order(capsys):
 
 
 def test_construct_explicit_lambda_rejected(capsys):
+    # explicit values are checked before an instance is built
     assert main(["construct", "--q", "5", "--lambda", "0,1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arc condition fails\n"
 
 
 def test_encode_reference_example(ref_path, capsys):

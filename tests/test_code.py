@@ -10,6 +10,7 @@ exhaustion on small q.
 import pytest
 
 from hermitian_mds import code as cc
+from hermitian_mds import geometry
 from hermitian_mds.linalg import rank, rref
 
 
@@ -300,6 +301,31 @@ def test_from_text_extension_field():
     assert cc.from_text(text) == spec
     with pytest.raises(ValueError):
         cc.from_text(text.replace("gq=1,1,1\n", ""))  # gq required when h>1
+
+
+def test_construct_code_validates_once(monkeypatch):
+    # build_lambda and build_transversal trust their own constructions;
+    # CodeSpec is the one gate, so each instance runs one arc check and one
+    # transversal check
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(geometry, "arc_condition_holds",
+                        counting("arc", geometry.arc_condition_holds))
+    transversal = counting("transversal", geometry.validate_transversal)
+    monkeypatch.setattr(geometry, "validate_transversal", transversal)
+    monkeypatch.setattr(cc, "validate_transversal", transversal)  # imported by name
+    for q, arc, s in ((5, None, None), (7, "norm_circle", "unit_trace"),
+                      (4, None, None), (8, "hyperoval", "unit_trace"),
+                      (8, "greedy", None), (9, "greedy", "subfield")):
+        calls.clear()
+        cc.construct_code(q, arc_strategy=arc, s_strategy=s)
+        assert sorted(calls) == ["arc", "transversal"], (q, arc, s)
 
 
 def test_construct_code_defaults(specs):

@@ -4,7 +4,9 @@ Oracles: powers of eps for the q=5 instance with modulus X^2 - X + 2 were
 computed by hand from eps^2 = eps + 3 and are frozen below.  Structural
 facts (fiber sizes, axioms, Frobenius properties) are checked exhaustively
 at desk scale, with the generic power map pow(u, q) serving as the
-independent oracle for the linearized Frobenius.
+independent oracle for the linearized Frobenius.  At every supported q the
+default gq2 is checked against a plain root scan, and the norm circle
+(built from the norm's quadratic form) against a scan of norm().
 """
 
 import pytest
@@ -19,6 +21,17 @@ from hermitian_mds.fields import (
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
+
+
+def is_prime_power(q):
+    try:
+        factor_prime_power(q)
+    except FieldError:
+        return False
+    return True
+
+
+PRIME_POWERS = [q for q in range(2, 257) if is_prime_power(q)]  # every supported q
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +92,19 @@ def test_default_moduli_frozen():
         F = tower_for_q(q)
         assert F.gq == gq
         assert F.gq2 == gq2
+    # at every supported q, gq2 is the first rootless monic quadratic,
+    # found here by a plain root scan
+    for q in PRIME_POWERS:
+        F = tower_for_q(q)
+        assert F.gq2 == first_rootless_quadratic(F), q
+
+
+def first_rootless_quadratic(F):
+    # X^2 + c1*X + c0 in encoding order c0 + q*c1, each tested at every x
+    for enc in range(F.q2):
+        c0, c1 = enc % F.q, enc // F.q
+        if all(F.q_add(F.q_add(F.q_mul(x, x), F.q_mul(c1, x)), c0) for x in range(F.q)):
+            return [c0, c1, 1]
 
 
 def test_smallest_irreducible_is_irreducible():
@@ -121,11 +147,8 @@ def digit_sum(a, b, p):
 def test_q_tables_against_polynomial_products():
     # the GF(q) sum table is widened digit by digit from GF(p); every
     # prime power q <= 256 is checked pair by pair, and so are negatives
-    for q in range(2, 257):
-        try:
-            p, h = factor_prime_power(q)
-        except FieldError:
-            continue
+    for q in PRIME_POWERS:
+        p, h = factor_prime_power(q)
         F = tower_for_q(q)
         for a in range(q):
             row = F.q_add_table[a]
@@ -246,6 +269,31 @@ def test_norm_fibers(towers):
         assert fibers[0] == 1
         assert set(fibers) == set(range(F.q))
         assert all(fibers[t] == F.q + 1 for t in range(1, F.q))
+
+
+def norm_scan(F, c):
+    return [u for u in F.elements() if F.norm(u) == c]
+
+
+def test_norm_circle_is_the_norm_fiber():
+    # the quadratic-form circle against a scan of F.norm: the unit circle
+    # at every supported q, every fiber at q <= 16 ...
+    for q in PRIME_POWERS:
+        F = tower_for_q(q)
+        assert F.norm_circle(1) == norm_scan(F, 1), q
+        if q <= 16:
+            for c in range(q):
+                assert F.norm_circle(c) == norm_scan(F, c), (q, c)
+    # ... and every fiber under every irreducible gq2 at q = 4 and 5
+    for q in (4, 5):
+        for c0 in range(q):
+            for c1 in range(q):
+                try:
+                    F = tower_for_q(q, gq2=[c0, c1, 1])
+                except FieldError:
+                    continue
+                for c in range(q):
+                    assert F.norm_circle(c) == norm_scan(F, c), (F, c)
 
 
 def test_trace_definition(towers):

@@ -9,7 +9,8 @@ at q=3 and q=4 and on seeded subsets up to the size bound beyond.  The
 greedy arc search, which tracks secant lines incrementally, is checked
 against the same depth-first search written with arc_condition_holds.  The
 hyperoval (unit circle plus 0) is checked for size q+2 at every even
-q <= 128.
+q <= 128.  build_lambda validates only explicit values (CodeSpec is the
+gate), so every arc these tests build is checked with arc_condition_holds.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import pytest
 
 from hermitian_mds import code as cc
 from hermitian_mds.decoder import normalize_point
-from hermitian_mds.fields import FieldTower, tower_for_q
+from hermitian_mds.fields import FieldError, FieldTower, factor_prime_power, tower_for_q
 from hermitian_mds.geometry import (
     _greedy_arc,
     arc_condition_holds,
@@ -121,12 +122,24 @@ def test_build_lambda_norm_circle(f5p):
         build_lambda(f5p, "norm_circle", c=0)
 
 
+def odd_prime_powers():
+    for q in range(3, 257, 2):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        yield q
+
+
 def test_build_lambda_norm_circle_sizes():
-    for q in (3, 4, 5, 7, 8, 9):
+    # build_lambda does not validate what it builds, so the arc condition
+    # is checked here: the unit circle at q = 4, 8 and at every odd q <= 256
+    for q in (4, 8, *odd_prime_powers()):
         F = tower_for_q(q)
         lam = build_lambda(F, "norm_circle")
         assert len(lam) == q + 1
         assert len(lam) <= arc_size_bound(F)
+        assert arc_condition_holds(F, lam), q
 
 
 def test_build_lambda_greedy(f4):
@@ -137,6 +150,11 @@ def test_build_lambda_greedy(f4):
     # the decode-beyond benchmark instance
     assert build_lambda(tower_for_q(16), "greedy") == [
         0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236]
+    # build_lambda does not validate what it builds
+    for q in (3, 4, 5, 8, 9, 16):
+        F = tower_for_q(q)
+        lam = build_lambda(F, "greedy")
+        assert len(lam) == arc_size_bound(F) and arc_condition_holds(F, lam), q
 
 
 def test_build_lambda_hyperoval():

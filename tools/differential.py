@@ -21,11 +21,15 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     reference instance, and on 500 messages each at q = 49 and 251 drawn
     from random.Random("encode:<q>");
   - generator_matrix at every prime power q = 2..16;
+  - the default modulus gq2 of tower_for_q at every prime power q <= 256;
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
   - stdout, stderr and exit code of a fixed list of CLI invocations,
     `construct --lambda greedy` at q = 4 and 16 among them, so the greedy
-    strategy stays compared where it is no longer the default.
-The two children run side by side; the whole run takes about 35 s on a
+    strategy stays compared where it is no longer the default; also
+    `construct` with the default strategies at larger q up to 256, with
+    `--lambda norm_circle --norm-c 2` at q = 7 and 16, and with the
+    explicit non-arc `--lambda 0,1,2` at q = 5.
+The two children run side by side; the whole run takes about 25 s on a
 2-core box under Python 3.11.
 
 Stdlib only.
@@ -118,6 +122,17 @@ def emit_generators(cc, dec, out):
         out(f"generator q={q}", repr(getattr(G, "rows", G)))  # older checkouts: a MatrixFq
 
 
+def emit_moduli(cc, dec, out):
+    from hermitian_mds.fields import FieldError, factor_prime_power, tower_for_q
+
+    for q in range(2, 257):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        out(f"gq2 q={q}", repr(tower_for_q(q).gq2))
+
+
 def emit_simulations(cc, dec, out):
     from hermitian_mds.cli import run_simulation
 
@@ -154,7 +169,11 @@ CLI_FILES = [
 
 CLI_CASES = (
     [["construct", "--q", str(q)] for q in range(2, 17)]
+    + [["construct", "--q", str(q)]
+       for q in (25, 27, 32, 49, 64, 81, 121, 125, 128, 243, 251, 256)]
     + [["construct", "--q", str(q), "--lambda", "greedy"] for q in (4, 16)]
+    + [["construct", "--q", str(q), "--lambda", "norm_circle", "--norm-c", "2"] for q in (7, 16)]
+    + [["construct", "--q", "5", "--lambda", "0,1,2"]]  # not an arc: exit 1
     + [
         ["construct", "--paper-example"],
         ["encode", "--code", "ref.code", "--message", "7,2"],
@@ -219,8 +238,8 @@ def emit(expected_src):
     def out(case, result):
         print(f"{case}\t{result}")
 
-    for part in (emit_decoder, emit_planes, emit_encodes, emit_generators, emit_simulations,
-                 emit_cli):
+    for part in (emit_decoder, emit_planes, emit_encodes, emit_generators, emit_moduli,
+                 emit_simulations, emit_cli):
         part(cc, dec, out)
     return 0
 
