@@ -67,10 +67,10 @@ class CodeSpec:
     def __init__(self, tower: FieldTower, lam, s):
         self.tower = tower
         self.lam = validate_arc(tower, lam)
-        self.s = validate_transversal(tower, s)
+        self.s = list(s)
+        self.s_by_trace = validate_transversal(tower, self.s)
         self.N = len(self.lam)
         self.coords = [tower.decompose(l) for l in self.lam]
-        self.s_by_trace = {tower.trace(y): y for y in self.s}
         self.s_set = frozenset(self.s)
         self.s0 = self.s_by_trace[0]
         g11 = tower.trace(1)
@@ -167,20 +167,13 @@ def codeword_to_plane(spec: CodeSpec, w):
 
 def form_eval(spec: CodeSpec, lam_val: int, x: int, y: int) -> int:
     """Evaluate one coordinate form at (x, y): the paper's definition of a
-    symbol, used by pairwise_intersection_count and by `verify`.
-
-    Computed as norm(x) + trace(y) + trace(lam_val * x) and checked against
-    the literal five-term polynomial evaluation; the two must agree
-    identically.
-    """
+    symbol, the literal five-term X^{q+1} + Y^q + Y + lam^q X^q + lam X at
+    (x, y, 1), used by pairwise_intersection_count and by `verify`."""
     F = spec.tower
-    fast = F.q_add(F.q_add(F.norm(x), F.trace(y)), F.trace(F.mul(lam_val, x)))
-    literal = F.add(
+    return F.add(
         F.add(F.add(F.pow(x, F.q + 1), F.pow(y, F.q)), y),
         F.add(F.mul(F.pow(lam_val, F.q), F.pow(x, F.q)), F.mul(lam_val, x)),
     )
-    assert literal == fast, "trace/norm evaluation disagrees with the literal form"
-    return fast
 
 
 def encode(spec: CodeSpec, m) -> tuple:
@@ -426,13 +419,13 @@ def default_arc_strategy(q: int) -> str:
 
 
 def construct_code(q: int, arc_strategy: str = None, s_strategy: str = None,
-                   arc_values=None, norm_c: int = 1, gq=None, gq2=None) -> CodeSpec:
+                   arc_values=None, norm_c: int = 1) -> CodeSpec:
     """Build an instance for a prime power q with sensible defaults.
 
     Odd q: arc = norm_circle (q+1 points), S = the subfield.
     Even q: arc = hyperoval (q+2 points), S = unit_trace multiples.
     """
-    tower = tower_for_q(q, gq=gq, gq2=gq2)
+    tower = tower_for_q(q)
     if arc_strategy is None:
         arc_strategy = default_arc_strategy(q)
     if s_strategy is None:

@@ -76,11 +76,10 @@ read off in closed form.
 from collections import Counter
 from dataclasses import dataclass
 
-from .code import (  # the plane maps are re-exported under their old names
+from .code import (
     CodeSpec,
     codeword_to_plane,
     enumerate_codewords,
-    message_to_plane,
     plane_to_codeword,
     plane_to_message,
     validate_word,

@@ -11,10 +11,13 @@ file formats and the CLI.
 GF(q) arithmetic is memoized in full tables, built once per tower and
 public for callers that bind them in their inner loops: q_add_table and
 q_mul_table (q x q), q_neg_table and q_inv_table (length q, q_inv_table[0]
-unused).  They are read-only.  Sums are widened digit by digit from the
-GF(p) table; products come from the powers of a primitive element, and
-the discrete logarithm is used only while building.  GF(q^2) operations
-reduce to component formulas in GF(q).
+unused).  They are read-only.  Both are built digit by digit from GF(p), one
+recurrence for every q: a = a0 + theta*a' adds as a0 + b0 plus theta
+times a' + b', and b = b0 + theta*b' multiplies as b*a = b0*a +
+theta*(b'*a), where theta*x shifts the digits of x up one place and
+reduces theta^h by gq (Lidl and Niederreiter, Finite Fields, ch. 1-2).
+Inverses are read off the product rows.  GF(q^2) operations reduce to
+component formulas in GF(q).
 
 One formula serves every quadratic question: the list of x*(x + c1) over
 x in GF(q).  X^2 + c1*X + c0 has a root iff -c0 is in it, so the default
@@ -67,17 +70,6 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a, m, p):
     """Remainder of a modulo the monic polynomial m, over GF(p)."""
     a = list(a)
@@ -90,17 +82,6 @@ def _poly_mod(a, m, p):
                 a[shift + i] = (a[shift + i] - lead * m[i]) % p
         a.pop()
     return _poly_trim(a)
-
-
-def _poly_powers(g, m, p):
-    """Encodings of g^0, g^1, ... modulo m, up to the first power that
-    returns to 1; g is a nonzero polynomial coprime to m."""
-    out, x = [], [1]
-    while True:
-        out.append(_poly_to_int(x, p))
-        x = _poly_mod(_poly_mul(x, g, p), m, p)
-        if x == [1]:
-            return out
 
 
 def _poly_irreducible(m, p: int) -> bool:
@@ -122,13 +103,6 @@ def _int_to_poly(enc: int, p: int):
     while enc:
         out.append(enc % p)
         enc //= p
-    return out
-
-
-def _poly_to_int(a, p: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * p + c
     return out
 
 
@@ -225,22 +199,21 @@ class FieldTower:
                 add.append([lo[b % p] + p * hi[b // p] for b in range(size)])
         self.q_add_table = add
         self.q_neg_table = [row.index(0) for row in add]
-        if h == 1:
-            self.q_mul_table = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            # products from the powers g^0, ..., g^(q-2) of the first
-            # primitive element g: a*b = g^(log a + log b)
-            for g in range(2, q):
-                exp = _poly_powers(_int_to_poly(g, p), self.gq, p)
-                if len(exp) == q - 1:
-                    break
-            log = [0] * q
-            for i, a in enumerate(exp):
-                log[a] = i
-            exp += exp
-            logs = log[1:]
-            self.q_mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
-        self.q_inv_table = [0] + [row.index(1) for row in self.q_mul_table[1:]]
+        # products digit by digit: b = b0 + theta*b' multiplies as
+        # b0*a + theta*(b'*a), and rows b < p are repeated sums.  theta*x
+        # shifts the digits of x up one place; the digit shifted out of the
+        # top returns times theta^h = -(gq[0] + ... + gq[h-1]*theta^(h-1)).
+        # When h == 1 there is no gq, and no row b >= p reads theta.
+        mul = [[0] * q]
+        for _ in range(1, p):
+            mul.append([add[x][a] for a, x in enumerate(mul[-1])])
+        top = q // p
+        over = self.q_neg_table[sum(c * p ** i for i, c in enumerate((self.gq or [])[:-1]))]
+        theta = [add[x % top * p][mul[x // top][over]] for x in range(q)]
+        for b in range(p, q):
+            mul.append([add[x][theta[y]] for x, y in zip(mul[b % p], mul[b // p])])
+        self.q_mul_table = mul
+        self.q_inv_table = [0] + [row.index(1) for row in mul[1:]]
 
     def _quadratic_values(self, c1):
         """x*(x + c1) = x^2 + c1*x for every x in GF(q), indexed by x."""
@@ -390,9 +363,9 @@ class FieldTower:
         return f"FieldTower(p={self.p}, h={self.h}, gq={self.gq}, gq2={self.gq2})"
 
 
-def tower_for_q(q: int, gq=None, gq2=None) -> FieldTower:
-    """Build the tower for a prime power q with default or given moduli."""
+def tower_for_q(q: int) -> FieldTower:
+    """Build the tower for a prime power q with the default moduli."""
     if q * q > MAX_Q2:  # before factoring, whose cost grows with q
         raise FieldError(f"q={q} unsupported: q^2 exceeds {MAX_Q2}")
     p, h = factor_prime_power(q)
-    return FieldTower(p, h, gq=gq, gq2=gq2)
+    return FieldTower(p, h)

@@ -170,7 +170,8 @@ def build_lambda(F, strategy, values=None, c=1):
 
 
 def validate_transversal(F, s):
-    """Raise unless trace restricted to s is a bijection onto GF(q)."""
+    """Raise unless trace restricted to s is a bijection onto GF(q); return
+    its inverse, the map trace -> element of s."""
     s = list(s)
     if any(not 0 <= u < F.q2 for u in s):
         raise ValueError("transversal elements must be canonical GF(q^2) integers")
@@ -179,7 +180,7 @@ def validate_transversal(F, s):
     traces = [F.trace(x) for x in s]
     if sorted(traces) != list(range(F.q)):
         raise ValueError("trace values do not enumerate GF(q)")
-    return s
+    return dict(zip(traces, s))
 
 
 def build_transversal(F, strategy):

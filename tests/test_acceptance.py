@@ -215,11 +215,11 @@ def test_criterion_8_round_trips():
         for q in (2, 3, 4, 5):
             spec = cc.construct_code(q)
             for m in cc.iter_messages(spec):
-                plane = dec.message_to_plane(spec, m)
-                assert dec.plane_to_message(spec, plane) == m
+                plane = cc.message_to_plane(spec, m)
+                assert cc.plane_to_message(spec, plane) == m
                 w = cc.encode(spec, m)
-                assert dec.plane_to_codeword(spec, plane) == w
-                assert dec.codeword_to_plane(spec, w) == plane
+                assert cc.plane_to_codeword(spec, plane) == w
+                assert cc.codeword_to_plane(spec, w) == plane
         for spec in [cc.reference_instance()] + [
                 cc.construct_code(q) for q in (2, 3, 4, 5, 7, 8, 9)]:
             text = cc.to_text(spec)

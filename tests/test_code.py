@@ -11,6 +11,7 @@ import pytest
 
 from hermitian_mds import code as cc
 from hermitian_mds import geometry
+from hermitian_mds.fields import FieldTower
 from hermitian_mds.linalg import rank, rref
 
 
@@ -43,14 +44,15 @@ def test_form_eval_trivial(ref):
 
 
 def test_form_eval_literal_agreement_exhaustive_q4():
-    # the assert inside form_eval compares against the five-term polynomial;
-    # drive it over every (lam, x, y) triple
+    # the five-term form equals norm(x) + trace(y) + trace(lam*x), the
+    # identity behind the plane encoder, at every (lam, x, y) triple
     spec = cc.construct_code(4)
     F = spec.tower
     for lam in F.elements():
         for x in F.elements():
             for y in F.elements():
-                cc.form_eval(spec, lam, x, y)
+                expected = F.q_add(F.q_add(F.norm(x), F.trace(y)), F.trace(F.mul(lam, x)))
+                assert cc.form_eval(spec, lam, x, y) == expected, (lam, x, y)
 
 
 def test_encode_is_the_hermitian_form(specs, ref):
@@ -306,8 +308,16 @@ def test_from_text_extension_field():
 def test_construct_code_validates_once(monkeypatch):
     # build_lambda and build_transversal trust their own constructions;
     # CodeSpec is the one gate, so each instance runs one arc check and one
-    # transversal check
+    # transversal check, and takes the trace of each element of S once
     calls = []
+    traced = []
+    trace = FieldTower.trace
+
+    def counting_trace(F, u):
+        traced.append(u)
+        return trace(F, u)
+
+    monkeypatch.setattr(FieldTower, "trace", counting_trace)
 
     def counting(name, fn):
         def wrapped(*args):
@@ -324,8 +334,12 @@ def test_construct_code_validates_once(monkeypatch):
                       (4, None, None), (8, "hyperoval", "unit_trace"),
                       (8, "greedy", None), (9, "greedy", "subfield")):
         calls.clear()
-        cc.construct_code(q, arc_strategy=arc, s_strategy=s)
+        spec = cc.construct_code(q, arc_strategy=arc, s_strategy=s)
         assert sorted(calls) == ["arc", "transversal"], (q, arc, s)
+        # q traces for S, three for the trace pairing on {1, eps}
+        traced.clear()
+        cc.CodeSpec(spec.tower, spec.lam, spec.s)
+        assert len(traced) == q + 3, (q, arc, s)
 
 
 def test_construct_code_defaults(specs):
@@ -336,6 +350,5 @@ def test_construct_code_defaults(specs):
     explicit = cc.construct_code(5, arc_strategy="explicit",
                                  arc_values=[1, 4, 11, 12, 18, 19])
     assert explicit.lam == [1, 4, 11, 12, 18, 19]
-    custom = cc.construct_code(5, gq2=[2, 4, 1], arc_strategy="explicit",
-                               arc_values=cc.REFERENCE_Q5_LAMBDA)
+    custom = cc.CodeSpec(FieldTower(5, gq2=[2, 4, 1]), cc.REFERENCE_Q5_LAMBDA, range(5))
     assert cc.is_reference_instance(custom)

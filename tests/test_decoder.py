@@ -311,10 +311,10 @@ def test_factorization_product_identity():
 
 
 def test_plane_message_codeword_trivial(ref):
-    assert dec.plane_to_codeword(ref, (0, 0, 0)) == (0,) * 6
-    assert dec.plane_to_message(ref, (0, 0, 0)) == (0, ref.s0)
-    assert dec.message_to_plane(ref, (0, 3)) == (0, 0, 1)
-    assert dec.plane_to_codeword(ref, (0, 0, 1)) == (1,) * 6
+    assert cc.plane_to_codeword(ref, (0, 0, 0)) == (0,) * 6
+    assert cc.plane_to_message(ref, (0, 0, 0)) == (0, ref.s0)
+    assert cc.message_to_plane(ref, (0, 3)) == (0, 0, 1)
+    assert cc.plane_to_codeword(ref, (0, 0, 1)) == (1,) * 6
 
 
 def test_plane_roundtrips_exhaustive():
@@ -324,27 +324,27 @@ def test_plane_roundtrips_exhaustive():
         spec = cc.construct_code(q)
         # message -> plane -> message, and plane codeword = the paper's forms
         for m in cc.iter_messages(spec):
-            plane = dec.message_to_plane(spec, m)
-            assert dec.plane_to_message(spec, plane) == m
-            assert dec.plane_to_codeword(spec, plane) == tuple(
+            plane = cc.message_to_plane(spec, m)
+            assert cc.plane_to_message(spec, plane) == m
+            assert cc.plane_to_codeword(spec, plane) == tuple(
                 cc.form_eval(spec, lam, *m) for lam in spec.lam)
         # plane -> message -> plane over all q^3 coefficient triples
         for c1 in range(q):
             for c2 in range(q):
                 for c0 in range(q):
                     plane = (c1, c2, c0)
-                    m = dec.plane_to_message(spec, plane)
-                    assert dec.message_to_plane(spec, m) == plane
+                    m = cc.plane_to_message(spec, plane)
+                    assert cc.message_to_plane(spec, m) == plane
 
 
 def test_codeword_to_plane(ref):
     for m in [(0, 0), (0, 3), (5, 2), (24, 4)]:
         w = cc.encode(ref, m)
-        plane = dec.codeword_to_plane(ref, w)
-        assert dec.plane_to_codeword(ref, plane) == w
-        assert dec.plane_to_message(ref, plane) == m
+        plane = cc.codeword_to_plane(ref, w)
+        assert cc.plane_to_codeword(ref, plane) == w
+        assert cc.plane_to_message(ref, plane) == m
     with pytest.raises(ValueError):
-        dec.codeword_to_plane(ref, (1, 0, 0, 0, 0, 0))  # weight 1 < d
+        cc.codeword_to_plane(ref, (1, 0, 0, 0, 0, 0))  # weight 1 < d
 
 
 def test_geometric_decode_zero_errors(ref):

@@ -155,14 +155,14 @@ def test_q_tables_against_polynomial_products():
             assert row == [digit_sum(a, b, p) for b in range(q)], (q, a)
             neg = sum(-(a // p ** i) % p * p ** i for i in range(h))
             assert F.q_neg(a) == neg and row[neg] == 0
-    # the GF(q) product table is built from the powers of a primitive
-    # element; every h > 1 field up to q = 64 is checked pair by pair
-    for q in (4, 8, 9, 16, 25, 27, 32, 49, 64):
+    # the GF(q) product table is built digit by digit too, by one
+    # recurrence for every q; primes and extension fields up to q = 64 are
+    # checked pair by pair, q = 81 to 256 on every 7th row
+    for q in (2, 3, 13, 251, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256):
         F = tower_for_q(q)
-        assert F.h > 1
-        for a in range(q):
+        for a in range(0, q, 1 if q <= 64 else 7):
             for b in range(q):
-                assert F.q_mul(a, b) == poly_product(a, b, F.p, F.h, F.gq)
+                assert F.q_mul(a, b) == poly_product(a, b, F.p, F.h, F.gq), (q, a, b)
             if a:
                 assert F.q_mul(a, F.q_inv(a)) == 1
 
@@ -286,10 +286,11 @@ def test_norm_circle_is_the_norm_fiber():
                 assert F.norm_circle(c) == norm_scan(F, c), (q, c)
     # ... and every fiber under every irreducible gq2 at q = 4 and 5
     for q in (4, 5):
+        p, h = factor_prime_power(q)
         for c0 in range(q):
             for c1 in range(q):
                 try:
-                    F = tower_for_q(q, gq2=[c0, c1, 1])
+                    F = FieldTower(p, h, gq2=[c0, c1, 1])
                 except FieldError:
                     continue
                 for c in range(q):

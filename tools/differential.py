@@ -21,7 +21,8 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     reference instance, and on 500 messages each at q = 49 and 251 drawn
     from random.Random("encode:<q>");
   - generator_matrix at every prime power q = 2..16;
-  - the default modulus gq2 of tower_for_q at every prime power q <= 256;
+  - the moduli gq and gq2 of tower_for_q and a SHA-256 digest of each of
+    its GF(q) tables (add, neg, mul, inv) at every prime power q <= 256;
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
   - stdout, stderr and exit code of a fixed list of CLI invocations,
     `construct --lambda greedy` at q = 4 and 16 among them, so the greedy
@@ -36,6 +37,7 @@ Stdlib only.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -95,9 +97,9 @@ def emit_planes(cc, dec, out):
     for q in (2, 3, 4, 5, 7, 8, 9):
         spec = cc.construct_code(q)
         for plane in itertools.product(range(q), repeat=3):
-            word = dec.plane_to_codeword(spec, plane)
+            word = cc.plane_to_codeword(spec, plane)
             out(f"planes q={q} plane={plane}",
-                repr((dec.plane_to_message(spec, plane), dec.codeword_to_plane(spec, word))))
+                repr((cc.plane_to_message(spec, plane), cc.codeword_to_plane(spec, word))))
 
 
 def emit_encodes(cc, dec, out):
@@ -122,7 +124,7 @@ def emit_generators(cc, dec, out):
         out(f"generator q={q}", repr(getattr(G, "rows", G)))  # older checkouts: a MatrixFq
 
 
-def emit_moduli(cc, dec, out):
+def emit_towers(cc, dec, out):
     from hermitian_mds.fields import FieldError, factor_prime_power, tower_for_q
 
     for q in range(2, 257):
@@ -130,7 +132,10 @@ def emit_moduli(cc, dec, out):
             factor_prime_power(q)
         except FieldError:
             continue
-        out(f"gq2 q={q}", repr(tower_for_q(q).gq2))
+        F = tower_for_q(q)
+        digests = [hashlib.sha256(repr(table).encode()).hexdigest()
+                   for table in (F.q_add_table, F.q_neg_table, F.q_mul_table, F.q_inv_table)]
+        out(f"tower q={q}", repr((F.gq, F.gq2, digests)))
 
 
 def emit_simulations(cc, dec, out):
@@ -238,7 +243,7 @@ def emit(expected_src):
     def out(case, result):
         print(f"{case}\t{result}")
 
-    for part in (emit_decoder, emit_planes, emit_encodes, emit_generators, emit_moduli,
+    for part in (emit_decoder, emit_planes, emit_encodes, emit_generators, emit_towers,
                  emit_simulations, emit_cli):
         part(cc, dec, out)
     return 0
