@@ -78,12 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_spec(path: str) -> cc.CodeSpec:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return cc.from_text(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def _load_spec(path: str) -> cc.CodeSpec:
+    return cc.from_text(_read_text(path))
 
 
 def _parse_ints(text: str, what: str):
@@ -173,11 +177,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.code, encoding="utf-8") as fh:
-            fields = cc.parse_text(fh.read())
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.code}: {exc}") from None
+    fields = cc.parse_text(_read_text(args.code))
     rows = []
 
     def claim(name, ok, detail):

@@ -16,6 +16,12 @@ recurrence for every q: a = a0 + theta*a' adds as a0 + b0 plus theta
 times a' + b', and b = b0 + theta*b' multiplies as b*a = b0*a +
 theta*(b'*a), where theta*x shifts the digits of x up one place and
 reduces theta^h by gq (Lidl and Niederreiter, Finite Fields, ch. 1-2).
+The recurrence holds in GF(p)[theta]/(gq) for any monic gq, and that
+finite ring is a field (gq is irreducible) exactly when it has no zero
+divisors, that is, when every product row b != 0 holds a 1.  So the same
+build decides irreducibility, stopping at the first row without a 1.  A
+supplied gq is accepted or rejected by it, and the default gq is the
+first monic degree-h candidate in encoding order whose build succeeds.
 Inverses are read off the product rows.  GF(q^2) operations reduce to
 component formulas in GF(q).
 
@@ -60,76 +66,16 @@ def factor_prime_power(q: int):
     return p, h
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients ascending
-# ---------------------------------------------------------------------------
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m, over GF(p)."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_irreducible(m, p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(m)//2."""
-    deg = len(m) - 1
-    if deg <= 0:
-        return False
-    if m[-1] != 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p ** d):
-            if not _poly_mod(m, _monic(enc, p, d), p):
-                return False
-    return True
-
-
-def _int_to_poly(enc: int, p: int):
-    out = []
-    while enc:
-        out.append(enc % p)
-        enc //= p
-    return out
-
-
-def _monic(enc: int, p: int, d: int):
-    """The monic degree-d polynomial whose lower d coefficients encode to enc."""
-    low = _int_to_poly(enc, p)
-    return low + [0] * (d - len(low)) + [1]
-
-
-def smallest_irreducible(p: int, degree: int):
-    """Monic irreducible of given degree over GF(p) with the smallest
-    integer-encoded list of non-leading coefficients."""
-    for enc in range(p ** degree):
-        m = _monic(enc, p, degree)
-        if _poly_irreducible(m, p):
-            return m
-    raise FieldError(f"no irreducible of degree {degree} over GF({p})")  # unreachable
-
-
 class FieldTower:
     """The chain GF(p) <= GF(q = p^h) <= GF(q^2) with basis {1, eps}.
 
     ``gq`` is the degree-h modulus over GF(p) (ascending coefficients,
     None when h == 1) and ``gq2`` the degree-2 modulus over GF(q)
     (ascending, entries canonical GF(q) integers).  Both default to the
-    irreducible polynomial of the required degree with the smallest
-    integer encoding; both are re-checked for irreducibility here.
+    monic irreducible polynomial of the required degree with the smallest
+    integer encoding of its lower coefficients.  A supplied gq is irreducible
+    when the product table built with it has no zero divisor, and a
+    supplied gq2 when X^2 + c1*X + c0 has no root in GF(q).
     """
 
     def __init__(self, p: int, h: int = 1, gq=None, gq2=None):
@@ -150,21 +96,29 @@ class FieldTower:
         self.q = q
         self.q2 = q * q
 
+        self._build_add_tables()
         if h == 1:
             if gq is not None:
                 raise FieldError("gq must be absent when h=1")
-            self.gq = None
+            mul = self._field_products(0)
+        elif gq is None:
+            # the first monic theta^h + low, in encoding order of low, whose
+            # quotient ring is a field; one exists for every h
+            for low in range(q):
+                mul = self._field_products(low)
+                if mul is not None:
+                    break
+            gq = [low // p ** i % p for i in range(h)] + [1]
         else:
-            if gq is None:
-                gq = smallest_irreducible(p, h)
             gq = list(gq)
             if len(gq) != h + 1 or gq[-1] != 1 or any(not 0 <= c < p for c in gq):
                 raise FieldError(f"gq={gq} is not a monic degree-{h} polynomial over GF({p})")
-            if not _poly_irreducible(gq, p):
+            mul = self._field_products(sum(c * p ** i for i, c in enumerate(gq[:-1])))
+            if mul is None:
                 raise FieldError(f"gq={gq} is reducible over GF({p})")
-            self.gq = gq
-
-        self._build_q_tables()
+        self.gq = gq
+        self.q_mul_table = mul
+        self.q_inv_table = [0] + [row.index(1) for row in mul[1:]]
 
         if gq2 is None:
             gq2 = self._smallest_irreducible_quadratic()
@@ -185,8 +139,8 @@ class FieldTower:
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_q_tables(self):
-        p, h, q = self.p, self.h, self.q
+    def _build_add_tables(self):
+        p, h = self.p, self.h
         # sums digit by digit: a = a0 + p*a' adds as (a0 + b0) % p + p*(a' + b');
         # row a of GF(p) is 0..p-1 rotated left by a
         digits = list(range(p))
@@ -199,21 +153,34 @@ class FieldTower:
                 add.append([lo[b % p] + p * hi[b // p] for b in range(size)])
         self.q_add_table = add
         self.q_neg_table = [row.index(0) for row in add]
-        # products digit by digit: b = b0 + theta*b' multiplies as
-        # b0*a + theta*(b'*a), and rows b < p are repeated sums.  theta*x
-        # shifts the digits of x up one place; the digit shifted out of the
-        # top returns times theta^h = -(gq[0] + ... + gq[h-1]*theta^(h-1)).
-        # When h == 1 there is no gq, and no row b >= p reads theta.
+
+    def _field_products(self, low):
+        """The product table of GF(p)[theta]/(gq) with gq = theta^h + low,
+        low the encoding of gq's lower coefficients; None when that ring
+        has a zero divisor, i.e. when gq is reducible.
+
+        Products go digit by digit: b = b0 + theta*b' multiplies as
+        b0*a + theta*(b'*a), and rows b < p are repeated sums.  theta*x
+        shifts the digits of x up one place; the digit shifted out of the
+        top returns times theta^h = -low.  When h == 1 no row b >= p
+        reads theta.  In a finite ring a nonzero b is a zero divisor
+        exactly when it has no inverse, i.e. when row b holds no 1; rows
+        b < p are nonzero scalars, so the ring is a field exactly when each
+        row b >= p holds a 1.
+        """
+        p, q, add = self.p, self.q, self.q_add_table
         mul = [[0] * q]
         for _ in range(1, p):
             mul.append([add[x][a] for a, x in enumerate(mul[-1])])
         top = q // p
-        over = self.q_neg_table[sum(c * p ** i for i, c in enumerate((self.gq or [])[:-1]))]
+        over = self.q_neg_table[low]
         theta = [add[x % top * p][mul[x // top][over]] for x in range(q)]
         for b in range(p, q):
-            mul.append([add[x][theta[y]] for x, y in zip(mul[b % p], mul[b // p])])
-        self.q_mul_table = mul
-        self.q_inv_table = [0] + [row.index(1) for row in mul[1:]]
+            row = [add[x][theta[y]] for x, y in zip(mul[b % p], mul[b // p])]
+            if 1 not in row:  # b is a zero divisor
+                return None
+            mul.append(row)
+        return mul
 
     def _quadratic_values(self, c1):
         """x*(x + c1) = x^2 + c1*x for every x in GF(q), indexed by x."""

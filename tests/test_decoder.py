@@ -503,6 +503,46 @@ def test_geometric_decode_two_errors_q7(spec7):
         assert sorted(res.corrected_positions) == sorted((i, j))
 
 
+def test_geometric_decode_symmetry():
+    # for a codeword c = encode(m') and kappa != 0, decoding kappa*r + c
+    # gives kappa*decode(r) + c, with the message msg_add(msg_scale(kappa,
+    # m), m') and the same corrected positions, and FAIL maps to FAIL; the
+    # center and factor may change.  Words: half a codeword plus 0..t+2
+    # errors, half uniform
+    for q in (4, 5, 7, 8, 9):
+        spec = cc.construct_code(q)
+        F = spec.tower
+        t = (spec.N - 3) // 2
+        rng = random.Random(f"symmetry:{q}")
+        outcomes = collections.Counter()
+        for i in range(100):
+            if i % 2:
+                r = tuple(rng.randrange(q) for _ in range(spec.N))
+            else:
+                r = list(cc.encode(spec, (rng.randrange(F.q2), spec.s[rng.randrange(q)])))
+                for pos in rng.sample(range(spec.N), rng.randrange(t + 3)):
+                    r[pos] = F.q_add(r[pos], rng.randrange(1, q))
+                r = tuple(r)
+            kappa = rng.randrange(1, q)
+            m2 = (rng.randrange(F.q2), spec.s[rng.randrange(q)])
+            c = cc.encode(spec, m2)
+
+            def moved(word):
+                return tuple(F.q_add(F.q_mul(kappa, a), b) for a, b in zip(word, c))
+
+            res = dec.geometric_decode(spec, r)
+            image = dec.geometric_decode(spec, moved(r))
+            outcomes[res is None] += 1
+            if res is None:
+                assert image is None, (q, r, kappa, m2)
+                continue
+            assert image is not None, (q, r, kappa, m2)
+            assert image.codeword == moved(res.codeword)
+            assert image.message == cc.msg_add(spec, cc.msg_scale(spec, kappa, res.message), m2)
+            assert image.corrected_positions == res.corrected_positions
+        assert outcomes[True] and outcomes[False], q  # both FAIL and decoded words
+
+
 def check_sampled_decodes(spec, per_weight, steered, rng):
     # up to t errors the sent codeword, its message and the error positions
     # come back; at t+1 and t+2 errors the result is the ML codeword if one

@@ -5,8 +5,10 @@ computed by hand from eps^2 = eps + 3 and are frozen below.  Structural
 facts (fiber sizes, axioms, Frobenius properties) are checked exhaustively
 at desk scale, with the generic power map pow(u, q) serving as the
 independent oracle for the linearized Frobenius.  At every supported q the
-default gq2 is checked against a plain root scan, and the norm circle
-(built from the norm's quadratic form) against a scan of norm().
+default gq2 is checked against a plain root scan, the default gq against
+trial division by every monic polynomial of at most half its degree, and
+the norm circle (built from the norm's quadratic form) against a scan of
+norm().
 """
 
 import pytest
@@ -16,7 +18,6 @@ from hermitian_mds.fields import (
     FieldTower,
     factor_prime_power,
     is_prime,
-    smallest_irreducible,
     tower_for_q,
 )
 
@@ -107,16 +108,58 @@ def first_rootless_quadratic(F):
             return [c0, c1, 1]
 
 
-def test_smallest_irreducible_is_irreducible():
-    # independent re-check of the search output by brute root scan
-    for p, d in [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2)]:
-        m = smallest_irreducible(p, d)
-        assert len(m) == d + 1 and m[-1] == 1
-        for x in range(p):
-            acc = 0
-            for c in reversed(m):
-                acc = (acc * x + c) % p
-            assert acc != 0
+def monic(low, p, h):
+    """The monic degree-h polynomial over GF(p) whose lower coefficients,
+    ascending, are the base-p digits of low."""
+    return [low // p ** i % p for i in range(h)] + [1]
+
+
+def poly_rem(a, m, p):
+    """Remainder of a modulo the monic m over GF(p), by long division."""
+    a = list(a)
+    for k in range(len(a) - 1, len(m) - 2, -1):
+        lead = a[k]
+        for i in range(len(m)):
+            a[k - len(m) + 1 + i] = (a[k - len(m) + 1 + i] - lead * m[i]) % p
+    return a[:len(m) - 1]
+
+
+def is_irreducible(m, p):
+    """Trial division by every monic polynomial of degree 1..deg(m)//2."""
+    h = len(m) - 1
+    return all(any(poly_rem(m, monic(low, p, d), p))
+               for d in range(1, h // 2 + 1) for low in range(p ** d))
+
+
+def test_default_gq_is_first_irreducible():
+    # at every supported extension field, gq is irreducible by trial
+    # division, and every monic candidate of smaller encoding is reducible
+    for q in PRIME_POWERS:
+        p, h = factor_prime_power(q)
+        if h == 1:
+            continue
+        gq = tower_for_q(q).gq
+        low = sum(c * p ** i for i, c in enumerate(gq[:-1]))
+        assert gq == monic(low, p, h) and is_irreducible(gq, p), q
+        assert not any(is_irreducible(monic(smaller, p, h), p) for smaller in range(low)), q
+
+
+def test_supplied_gq_accepted_exactly_when_irreducible():
+    # every monic gq at small (p, h): the zero-divisor test of the product
+    # table must agree with trial division, and a reducible gq is refused
+    # with the same text whatever its factors
+    for p, h in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        for low in range(p ** h):
+            gq = monic(low, p, h)
+            if is_irreducible(gq, p):
+                F = FieldTower(p, h, gq=gq)
+                assert F.gq == gq
+                for a in range(1, F.q):
+                    assert F.q_mul(a, F.q_inv(a)) == 1
+            else:
+                with pytest.raises(FieldError) as exc:
+                    FieldTower(p, h, gq=gq)
+                assert str(exc.value) == f"gq={gq} is reducible over GF({p})"
 
 
 def poly_product(a, b, p, h, gq):

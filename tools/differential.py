@@ -23,6 +23,9 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
   - generator_matrix at every prime power q = 2..16;
   - the moduli gq and gq2 of tower_for_q and a SHA-256 digest of each of
     its GF(q) tables (add, neg, mul, inv) at every prime power q <= 256;
+  - FieldTower(p, h, gq=gq) for every monic gq at (p, h) in SUPPLIED_MODULI
+    (q = 4 to 169) and for the malformed gq of MALFORMED_MODULI: the same
+    moduli and digests when it builds, else the exception type and text;
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
   - stdout, stderr and exit code of a fixed list of CLI invocations,
     `construct --lambda greedy` at q = 4 and 16 among them, so the greedy
@@ -124,6 +127,13 @@ def emit_generators(cc, dec, out):
         out(f"generator q={q}", repr(getattr(G, "rows", G)))  # older checkouts: a MatrixFq
 
 
+def tower_digest(F):
+    """gq, gq2 and a SHA-256 digest of each GF(q) table (add, neg, mul, inv)."""
+    digests = [hashlib.sha256(repr(table).encode()).hexdigest()
+               for table in (F.q_add_table, F.q_neg_table, F.q_mul_table, F.q_inv_table)]
+    return repr((F.gq, F.gq2, digests))
+
+
 def emit_towers(cc, dec, out):
     from hermitian_mds.fields import FieldError, factor_prime_power, tower_for_q
 
@@ -132,10 +142,36 @@ def emit_towers(cc, dec, out):
             factor_prime_power(q)
         except FieldError:
             continue
-        F = tower_for_q(q)
-        digests = [hashlib.sha256(repr(table).encode()).hexdigest()
-                   for table in (F.q_add_table, F.q_neg_table, F.q_mul_table, F.q_inv_table)]
-        out(f"tower q={q}", repr((F.gq, F.gq2, digests)))
+        out(f"tower q={q}", tower_digest(tower_for_q(q)))
+
+
+SUPPLIED_MODULI = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+                   (5, 2), (5, 3), (7, 2), (11, 2), (13, 2))
+MALFORMED_MODULI = (
+    (2, 2, [1, 1]),        # wrong degree
+    (2, 2, [1, 1, 0]),     # not monic
+    (3, 2, [3, 0, 1]),     # coefficient outside GF(3)
+    (2, 2, [1, -1, 1]),    # negative coefficient
+    (5, 1, [1, 1]),        # gq given when h = 1
+    (4, 2, [1, 1, 1]),     # p not prime
+)
+
+
+def emit_supplied_moduli(cc, dec, out):
+    from hermitian_mds.fields import FieldTower
+
+    def build(p, h, gq):
+        try:
+            return tower_digest(FieldTower(p, h, gq=gq))
+        except Exception as exc:
+            return repr((type(exc).__name__, str(exc)))
+
+    for p, h in SUPPLIED_MODULI:
+        for low in range(p ** h):
+            gq = [low // p ** i % p for i in range(h)] + [1]
+            out(f"modulus p={p} h={h} gq={gq}", build(p, h, gq))
+    for p, h, gq in MALFORMED_MODULI:
+        out(f"modulus p={p} h={h} gq={gq}", build(p, h, gq))
 
 
 def emit_simulations(cc, dec, out):
@@ -244,7 +280,7 @@ def emit(expected_src):
         print(f"{case}\t{result}")
 
     for part in (emit_decoder, emit_planes, emit_encodes, emit_generators, emit_towers,
-                 emit_simulations, emit_cli):
+                 emit_supplied_moduli, emit_simulations, emit_cli):
         part(cc, dec, out)
     return 0
 
