@@ -136,19 +136,22 @@ def plane_to_message(spec: CodeSpec, plane):
     """Invert message_to_plane: x from the inverse trace pairing, then the
     transversal representative for y."""
     F = spec.tower
+    add, mul = F.q_add_table, F.q_mul_table
     c1, c2, c0 = plane
-    x0, x1 = (F.q_add(F.q_mul(a, c1), F.q_mul(b, c2)) for a, b in spec.gram_inv)
+    x0, x1 = (add[mul[a][c1]][mul[b][c2]] for a, b in spec.gram_inv)
     x = F.compose(x0, x1)
     y = spec.s_by_trace[F.q_sub(c0, F.norm(x))]
     return (x, y)
 
 
 def plane_to_codeword(spec: CodeSpec, plane):
-    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0: the plane's cone section."""
+    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0: the plane's cone section, read
+    off the product rows of c1 and c2 and the sum row of c0."""
     F = spec.tower
     c1, c2, c0 = plane
-    return tuple(F.q_add(F.q_add(F.q_mul(c1, l1), F.q_mul(c2, l2)), c0)
-                 for l1, l2 in spec.coords)
+    add, m1, m2 = F.q_add_table, F.q_mul_table[c1], F.q_mul_table[c2]
+    a0 = add[c0]
+    return tuple(a0[add[m1[l1]][m2[l2]]] for l1, l2 in spec.coords)
 
 
 def codeword_to_plane(spec: CodeSpec, w):

@@ -23,14 +23,18 @@ build decides irreducibility, stopping at the first row without a 1.  A
 supplied gq is accepted or rejected by it, and the default gq is the
 first monic degree-h candidate in encoding order whose build succeeds.
 Inverses are read off the product rows.  GF(q^2) operations reduce to
-component formulas in GF(q).
+component formulas in GF(q).  With eps^2 = r0 + r1*eps, the conjugate
+eps^q is the other root of gq2, r1 - eps (checked at construction), so
+Frobenius, trace and norm are GF(q) forms in the components:
+u^q = u0 + r1*u1 - eps*u1, T(u0 + eps*u1) = T(1)*u0 + r1*u1 and
+N(u0 + eps*u1) = u0*(u0 + r1*u1) - r0*u1^2 (Lidl and Niederreiter, ch. 2).
 
 One formula serves every quadratic question: the list of x*(x + c1) over
 x in GF(q).  X^2 + c1*X + c0 has a root iff -c0 is in it, so the default
 gq2 (the first rootless monic quadratic in encoding order c0 + q*c1) costs
-one list per c1; and since the norm is the quadratic form
-N(x0 + eps*x1) = x0^2 + r1*x0*x1 - r0*x1^2, norm_circle reads each of its
-rows x1 off one such list instead of evaluating the norm per element.
+one list per c1; and since the norm is x0*(x0 + r1*x1) - r0*x1^2,
+norm_circle reads each of its rows x1 off one such list instead of
+evaluating the norm per element.
 """
 
 import math
@@ -132,9 +136,10 @@ class FieldTower:
         # eps^2 = r0 + r1*eps
         self._r0 = self.q_neg(gq2[0])
         self._r1 = self.q_neg(gq2[1])
+        self._t1 = self.q_add(1, 1)  # trace(1)
         self.eps = q  # integer encoding of (0, 1)
         self.eps_q = self.pow(self.eps, q)  # Frobenius image of eps
-        if self.add(self.eps_q, self.eps) >= q:
+        if self.add(self.eps_q, self.eps) != self._r1:  # frobenius, trace, norm rest on it
             raise FieldError("trace(eps) not in GF(q); broken modulus")
 
     # -- construction helpers ------------------------------------------------
@@ -255,10 +260,7 @@ class FieldTower:
         if a == 0:
             raise FieldError("inverse of zero in GF(q^2)")
         conj = self.frobenius(a)
-        n = self.mul(a, conj)
-        if n >= self.q:
-            raise FieldError("norm left GF(q); broken field core")
-        s = self.q_inv_table[n]
+        s = self.q_inv_table[self.norm(a)]
         q = self.q
         return self.q_mul_table[conj % q][s] + q * self.q_mul_table[conj // q][s]
 
@@ -280,32 +282,27 @@ class FieldTower:
     # -- Frobenius, trace, norm ----------------------------------------------
 
     def frobenius(self, u: int) -> int:
-        """u^q, computed GF(q)-linearly as u0 + u1 * eps^q."""
+        """u^q = u0 + r1*u1 - eps*u1, since eps^q = r1 - eps."""
         q = self.q
         u0, u1 = u % q, u // q
-        e0, e1 = self.eps_q % q, self.eps_q // q
-        return self.q_add_table[u0][self.q_mul_table[u1][e0]] + q * self.q_mul_table[u1][e1]
+        return self.q_add_table[u0][self.q_mul_table[self._r1][u1]] + q * self.q_neg_table[u1]
 
     def trace(self, u: int) -> int:
-        """u^q + u, landing in GF(q)."""
-        t = self.add(self.frobenius(u), u)
-        if t >= self.q:
-            raise FieldError("trace left GF(q); broken field core")
-        return t
+        """u^q + u by the linear form T(u0 + eps*u1) = T(1)*u0 + r1*u1,
+        since T(eps) = eps^q + eps = r1."""
+        q, mul = self.q, self.q_mul_table
+        return self.q_add_table[mul[self._t1][u % q]][mul[self._r1][u // q]]
 
     def norm(self, u: int) -> int:
-        """u^(q+1), landing in GF(q)."""
-        n = self.mul(self.frobenius(u), u)
-        if n >= self.q:
-            raise FieldError("norm left GF(q); broken field core")
-        return n
+        """u^(q+1) by the quadratic form N(u0 + eps*u1) = u0*(u0 + r1*u1) -
+        r0*u1^2, since eps^(q+1) = eps*(r1 - eps) = -r0."""
+        q, add, mul, neg = self.q, self.q_add_table, self.q_mul_table, self.q_neg_table
+        u0, u1 = u % q, u // q
+        return add[mul[u0][add[u0][mul[self._r1][u1]]]][neg[mul[self._r0][mul[u1][u1]]]]
 
     def norm_circle(self, c: int):
-        """All u with norm(u) = c, ascending.
-
-        The norm is the quadratic form N(x0 + eps*x1) = x0^2 + r1*x0*x1 -
-        r0*x1^2 (eps^2 = r0 + r1*eps), so for each x1 the circle's x0 are
-        the roots of x0*(x0 + r1*x1) = c + r0*x1^2.
+        """All u with norm(u) = c, ascending: by norm's quadratic form, for
+        each x1 the circle's x0 are the roots of x0*(x0 + r1*x1) = c + r0*x1^2.
         """
         q, add, mul = self.q, self.q_add_table, self.q_mul_table
         r0, r1 = self._r0, self._r1

@@ -4,12 +4,15 @@ Oracles: powers of eps for the q=5 instance with modulus X^2 - X + 2 were
 computed by hand from eps^2 = eps + 3 and are frozen below.  Structural
 facts (fiber sizes, axioms, Frobenius properties) are checked exhaustively
 at desk scale, with the generic power map pow(u, q) serving as the
-independent oracle for the linearized Frobenius.  At every supported q the
+independent oracle for the Frobenius, trace and norm forms, which are also
+checked on seeded elements up to q=256.  At every supported q the
 default gq2 is checked against a plain root scan, the default gq against
 trial division by every monic polynomial of at most half its degree, and
 the norm circle (built from the norm's quadratic form) against a scan of
 norm().
 """
+
+import random
 
 import pytest
 
@@ -341,10 +344,22 @@ def test_norm_circle_is_the_norm_fiber():
 
 
 def test_trace_definition(towers):
-    for q, F in towers.items():
-        for u in F.elements():
-            assert F.trace(u) == F.add(F.pow(u, F.q), u)
-            assert F.norm(u) == F.mul(F.pow(u, F.q), u)
+    # Frobenius, trace and norm are GF(q) forms in the components, and inv
+    # divides by the norm; the definitions u^q, u^q + u and u^(q+1) are
+    # computed here by the generic power map: every u up to q=16, seeded u
+    # on the odd and characteristic-2 extension towers at the top of the range
+    cases = [(F, F.elements()) for F in towers.values()]
+    cases += [(tower_for_q(q), range(q * q)) for q in (11, 13, 16)]
+    for q in (49, 128, 243, 251, 256):
+        rng = random.Random(f"trace:{q}")
+        cases.append((tower_for_q(q), [rng.randrange(q * q) for _ in range(2000)]))
+    for F, us in cases:
+        for u in us:
+            u_q = F.pow(u, F.q)
+            assert F.frobenius(u) == u_q
+            assert F.trace(u) == F.add(u_q, u)
+            assert F.norm(u) == F.pow(u, F.q + 1)
+            assert u == 0 or F.mul(u, F.inv(u)) == 1
 
 
 def test_decompose_compose_roundtrip(towers):

@@ -18,8 +18,9 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     the N=9 arc N9_ARC (seeds "<q>:<lambda>:<i>");
   - plane_to_message and codeword_to_plane on all q^3 planes for q <= 9;
   - encode on every message at each prime power q <= 9 and on the
-    reference instance, and on 500 messages each at q = 49 and 251 drawn
-    from random.Random("encode:<q>");
+    reference instance, and on 500 messages each at q = 49, 128, 243, 251
+    and 256 drawn from random.Random("encode:<q>"); on the same seeded
+    messages also message_to_plane and plane_to_message of that plane;
   - generator_matrix at every prime power q = 2..16;
   - the moduli gq and gq2 of tower_for_q and a SHA-256 digest of each of
     its GF(q) tables (add, neg, mul, inv) at every prime power q <= 256;
@@ -33,8 +34,8 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     `construct` with the default strategies at larger q up to 256, with
     `--lambda norm_circle --norm-c 2` at q = 7 and 16, and with the
     explicit non-arc `--lambda 0,1,2` at q = 5.
-The two children run side by side; the whole run takes about 25 s on a
-2-core box under Python 3.11.
+The two children run side by side; the whole run takes 8-25 s on a 2-core
+box under Python 3.11, depending on the host's CPU speed state.
 
 Stdlib only.
 """
@@ -113,12 +114,14 @@ def emit_encodes(cc, dec, out):
     spec = cc.reference_instance()
     for m in cc.iter_messages(spec):
         out(f"encode reference m={m}", repr(cc.encode(spec, m)))
-    for q in (49, 251):
+    for q in (49, 128, 243, 251, 256):
         spec = cc.construct_code(q)
         rng = random.Random(f"encode:{q}")
         for _ in range(500):
             m = (rng.randrange(q * q), spec.s[rng.randrange(q)])
             out(f"encode q={q} m={m}", repr(cc.encode(spec, m)))
+            plane = cc.message_to_plane(spec, m)
+            out(f"message plane q={q} m={m}", repr((plane, cc.plane_to_message(spec, plane))))
 
 
 def emit_generators(cc, dec, out):
