@@ -17,6 +17,10 @@ z = c1*x + c2*y + c0, c0 = norm(x) + T(y).  encode computes it that way
 of every codeword against form_eval.  The resulting code is q-ary, has
 q^3 words, dimension 3 and minimum distance N-2; all of that is
 re-verified by enumeration rather than assumed.
+
+Messages are planes: (c1, c2) is the trace pairing of {1, eps} applied to
+x's components, and plane_to_codeword is GF(q)-linear, so sums and
+multiples of codewords are those of their planes (msg_add, msg_scale).
 """
 
 import functools
@@ -50,18 +54,17 @@ REFERENCE_Q5_WEIGHTS = {4: 60, 5: 24, 6: 40}
 class CodeSpec:
     """Immutable description of one code instance.
 
-    Validates the arc, the transversal, and the 2x2 trace pairing on the
-    basis {1, eps} (the decoder inverts that pairing, so a degenerate one
-    would be fatal; for a separable extension it never is).  This is the
-    one gate for arcs and transversals: build_lambda and build_transversal
-    do not re-check what they construct, so each is checked once per
-    instance.
+    Validates the arc and the transversal, the one gate for both:
+    build_lambda and build_transversal do not re-check what they construct.
 
     Holds the plane basis of the code: coords[i] = (lam_i^1, lam_i^2), the
     components of lam_i, so the codeword of the plane z = c1*x + c2*y + c0
-    has symbols c1*lam_i^1 + c2*lam_i^2 + c0; and gram_inv, the inverse of
-    the trace pairing, which takes (c1, c2) = (T(x), T(eps*x)) back to the
-    components of x.
+    has symbols c1*lam_i^1 + c2*lam_i^2 + c0.  gram is the trace pairing
+    G = ((T(1), T(eps)), (T(eps), T(eps^2))), which takes the components
+    of x to (c1, c2) = (T(x), T(eps*x)), and gram_inv its inverse.  With
+    eps^2 = r0 + r1*eps, det G = r1^2 + 4*r0, the discriminant of gq2, which
+    is nonzero for every irreducible gq2 (in characteristic 2 that needs
+    r1 != 0); were it ever zero, q_inv would raise here.
     """
 
     def __init__(self, tower: FieldTower, lam, s):
@@ -76,10 +79,8 @@ class CodeSpec:
         g11 = tower.trace(1)
         g12 = tower.trace(tower.eps)
         g22 = tower.trace(tower.mul(tower.eps, tower.eps))
-        det = tower.q_sub(tower.q_mul(g11, g22), tower.q_mul(g12, g12))
-        if det == 0:
-            raise ValueError("degenerate trace pairing on {1, eps}")
-        d = tower.q_inv(det)
+        self.gram = ((g11, g12), (g12, g22))
+        d = tower.q_inv(tower.q_sub(tower.q_mul(g11, g22), tower.q_mul(g12, g12)))
         off = tower.q_neg(tower.q_mul(d, g12))
         self.gram_inv = ((tower.q_mul(d, g22), off), (off, tower.q_mul(d, g11)))
 
@@ -123,23 +124,27 @@ def validate_word(spec: CodeSpec, r):
 # planes <-> messages <-> codewords
 # ---------------------------------------------------------------------------
 
+def _pair(F, matrix, u, v):
+    """matrix times the column (u, v) over GF(q); matrix is gram or gram_inv."""
+    add, mul = F.q_add_table, F.q_mul_table
+    (a, b), (c, d) = matrix
+    return add[mul[a][u]][mul[b][v]], add[mul[c][u]][mul[d][v]]
+
+
 def message_to_plane(spec: CodeSpec, m):
     """(c1, c2, c0) of the plane z = c1*x + c2*y + c0*t carrying encode(m):
-    c1 = T(x), c2 = T(eps*x), c0 = norm(x) + T(y)."""
+    (c1, c2) = (T(x), T(eps*x)) = gram (x0, x1), c0 = norm(x) + T(y)."""
     F = spec.tower
     x, y = validate_message(spec, m)
-    return (F.trace(x), F.trace(F.mul(F.eps, x)),
-            F.q_add(F.norm(x), F.trace(y)))
+    return (*_pair(F, spec.gram, x % F.q, x // F.q), F.q_add_table[F.norm(x)][F.trace(y)])
 
 
 def plane_to_message(spec: CodeSpec, plane):
     """Invert message_to_plane: x from the inverse trace pairing, then the
     transversal representative for y."""
     F = spec.tower
-    add, mul = F.q_add_table, F.q_mul_table
     c1, c2, c0 = plane
-    x0, x1 = (add[mul[a][c1]][mul[b][c2]] for a, b in spec.gram_inv)
-    x = F.compose(x0, x1)
+    x = F.compose(*_pair(F, spec.gram_inv, c1, c2))
     y = spec.s_by_trace[F.q_sub(c0, F.norm(x))]
     return (x, y)
 
@@ -259,42 +264,24 @@ def expanded_closed_forms(spec: CodeSpec):
 # ---------------------------------------------------------------------------
 # closure structure on messages
 # ---------------------------------------------------------------------------
+# messages are planes: a sum or multiple of codewords is that of the planes
 
 def msg_add(spec: CodeSpec, m1, m2):
-    """The message whose codeword is the symbol-wise sum.
-
-    x adds; y needs the cross-term correction from
-    norm(x0+x1) = norm(x0) + norm(x1) + (x0^q x1 + x1^q x0).  The raw
-    combination y0 + y1 - x0^q x1 need not lie in S, but codewords depend
-    on y only through trace(y), so it is canonicalized to the
-    S-representative of the same trace.  Subtracting only one cross term is
-    deliberate: the two terms are conjugate, so the trace of one is already
-    their full sum, and subtracting both would double the correction.
-    """
-    F = spec.tower
-    x0, y0 = validate_message(spec, m1)
-    x1, y1 = validate_message(spec, m2)
-    x2 = F.add(x0, x1)
-    raw = F.sub(F.add(y0, y1), F.mul(F.frobenius(x0), x1))
-    return (x2, spec.s_by_trace[F.trace(raw)])
+    """The message whose codeword is the symbol-wise sum: that of the sum of
+    the two planes."""
+    add = spec.tower.q_add_table
+    planes = zip(message_to_plane(spec, m1), message_to_plane(spec, m2))
+    return plane_to_message(spec, [add[a][b] for a, b in planes])
 
 
 def msg_scale(spec: CodeSpec, kappa: int, m):
-    """The message whose codeword is the kappa-multiple (kappa in GF(q)).
-
-    The y-part is the S-representative with
-    trace(y) = (kappa - kappa^2) * norm(x0) + kappa * trace(y0).
-    """
+    """The message whose codeword is the kappa-multiple (kappa in GF(q)):
+    that of kappa times the plane."""
     F = spec.tower
     if not 0 <= kappa < F.q:
         raise ValueError(f"scalar {kappa} outside GF(q)")
-    x0, y0 = validate_message(spec, m)
-    x = F.mul(kappa, x0)
-    target = F.q_add(
-        F.q_mul(F.q_sub(kappa, F.q_mul(kappa, kappa)), F.norm(x0)),
-        F.q_mul(kappa, F.trace(y0)),
-    )
-    return (x, spec.s_by_trace[target])
+    row = F.q_mul_table[kappa]
+    return plane_to_message(spec, [row[c] for c in message_to_plane(spec, m)])
 
 
 # ---------------------------------------------------------------------------

@@ -237,13 +237,6 @@ class FieldTower:
         q = self.q
         return self.q_add_table[a % q][b % q] + q * self.q_add_table[a // q][b // q]
 
-    def neg(self, a: int) -> int:
-        q = self.q
-        return self.q_neg_table[a % q] + q * self.q_neg_table[a // q]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         q = self.q
         a0, a1 = a % q, a // q

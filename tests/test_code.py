@@ -4,14 +4,19 @@ The GF(25) reference instance (modulus X^2 - X + 2, arc of eps-powers
 3,4,8,15,16,20, S = GF(5)) provides frozen oracles: its generator row
 space, weight counts and intersection counts are pinned here.  Structural
 claims (injectivity, MDS, closure homomorphisms) are verified by
-exhaustion on small q.
+exhaustion on small q, the closure homomorphisms also on seeded pairs up
+to q=256, and the trace pairing against its inverse and gq2's
+discriminant at every q <= 256.
 """
+
+import itertools
+import random
 
 import pytest
 
 from hermitian_mds import code as cc
 from hermitian_mds import geometry
-from hermitian_mds.fields import FieldTower
+from hermitian_mds.fields import FieldError, FieldTower, factor_prime_power, tower_for_q
 from hermitian_mds.linalg import rank, rref
 
 
@@ -188,7 +193,8 @@ def test_msg_add_identity_and_scale_identity(ref):
 
 
 def test_closure_homomorphisms_exhaustive():
-    # encode(msg_add) = sum of codewords, encode(msg_scale) = scalar multiple
+    # encode(msg_add) = sum of codewords, encode(msg_scale) = scalar
+    # multiple: every pair at q = 4 and 5, seeded pairs at larger q
     for q in (4, 5):
         spec = cc.construct_code(q)
         F = spec.tower
@@ -203,6 +209,57 @@ def test_closure_homomorphisms_exhaustive():
             for kappa in range(F.q):
                 expect = tuple(F.q_mul(kappa, a) for a in w1)
                 assert table[cc.msg_scale(spec, kappa, m1)] == expect
+    for q in (16, 49, 256):
+        spec = cc.construct_code(q)
+        F = spec.tower
+        rng = random.Random(f"closure:{q}")
+        for _ in range(300):
+            m1, m2 = ((rng.randrange(F.q2), spec.s[rng.randrange(q)]) for _ in range(2))
+            kappa = rng.randrange(q)
+            w1, w2 = cc.encode(spec, m1), cc.encode(spec, m2)
+            expect = tuple(F.q_add(a, b) for a, b in zip(w1, w2))
+            assert cc.encode(spec, cc.msg_add(spec, m1, m2)) == expect, (q, m1, m2)
+            expect = tuple(F.q_mul(kappa, a) for a in w1)
+            assert cc.encode(spec, cc.msg_scale(spec, kappa, m1)) == expect, (q, kappa, m1)
+
+
+def gram_towers():
+    """The default tower at every prime power q <= 256, and at q <= 16 the
+    tower of every irreducible gq2."""
+    for q in range(2, 257):
+        try:
+            p, h = factor_prime_power(q)
+        except FieldError:
+            continue
+        if q > 16:
+            yield tower_for_q(q)
+            continue
+        for c0, c1 in itertools.product(range(q), repeat=2):
+            try:
+                yield FieldTower(p, h, gq2=[c0, c1, 1])
+            except FieldError:  # reducible
+                pass
+
+
+def test_trace_pairing_inverse_and_discriminant():
+    # gram_inv inverts gram, and det gram is the discriminant r1^2 + 4*r0
+    # of gq2 (eps^2 = r0 + r1*eps), nonzero because gq2 is irreducible
+    count = 0
+    for F in gram_towers():
+        q = F.q
+        lam = geometry.build_lambda(F, cc.default_arc_strategy(q))
+        s = geometry.build_transversal(F, "subfield" if q % 2 else "unit_trace")
+        spec = cc.CodeSpec(F, lam, s)
+        G, H = spec.gram, spec.gram_inv
+        product = [[F.q_add(F.q_mul(H[i][0], G[0][j]), F.q_mul(H[i][1], G[1][j]))
+                    for j in range(2)] for i in range(2)]
+        assert product == [[1, 0], [0, 1]], F
+        r0, r1 = F.q_neg(F.gq2[0]), F.q_neg(F.gq2[1])
+        four = F.q_add(F.q_add(1, 1), F.q_add(1, 1))
+        det = F.q_sub(F.q_mul(G[0][0], G[1][1]), F.q_mul(G[0][1], G[1][0]))
+        assert det == F.q_add(F.q_mul(r1, r1), F.q_mul(four, r0)) != 0, F
+        count += 1
+    assert count == 418
 
 
 def test_msg_scale_rejects_bad_scalar(ref):

@@ -5,7 +5,8 @@ over the first point of z = 0 off the base arc; every codeword plane
 contains exactly one of them.  ml_decode is the independent oracle for
 every guarantee claim; sampled runs use fixed seeds.  The q=4 sweep and
 the N=5 sweeps here are exhaustive, as are the q=5 sweeps of the
-acceptance suite.
+acceptance suite; at q = 7, 8 and 9 every word within the radius is
+covered up to the decoder's symmetry.
 """
 
 import collections
@@ -541,6 +542,30 @@ def test_geometric_decode_symmetry():
             assert image.message == cc.msg_add(spec, cc.msg_scale(spec, kappa, res.message), m2)
             assert image.corrected_positions == res.corrected_positions
         assert outcomes[True] and outcomes[False], q  # both FAIL and decoded words
+
+
+def test_geometric_decode_within_radius_exhaustive_by_symmetry():
+    # every word within t of a codeword c is c + kappa*e, with e of weight
+    # <= t whose first nonzero entry is 1, and by the symmetry above it
+    # decodes as e does; so decoding each such e to the zero codeword, the
+    # message (0, s0) and the support of e covers every word within the
+    # radius at q = 7, 8 and 9
+    for q, count in ((7, 177), (8, 6206), (9, 8051)):
+        spec = cc.construct_code(q)
+        N, t = spec.N, (spec.N - 3) // 2
+        seen = 0
+        for weight in range(t + 1):
+            for support in itertools.combinations(range(N), weight):
+                for rest in itertools.product(range(1, q), repeat=max(weight - 1, 0)):
+                    e = [0] * N
+                    for pos, value in zip(support, (1,) + rest):
+                        e[pos] = value
+                    res = dec.geometric_decode(spec, tuple(e))
+                    assert res is not None, (q, e)
+                    assert res.codeword == (0,) * N and res.message == (0, spec.s0), (q, e)
+                    assert res.corrected_positions == support, (q, e)
+                    seen += 1
+        assert seen == count, q
 
 
 def check_sampled_decodes(spec, per_weight, steered, rng):

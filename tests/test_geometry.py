@@ -65,8 +65,11 @@ def test_arc_condition_rejects_subfield_points(f5p):
 def power_criterion(F, subset):
     # the paper's condition, literally: no ordered triple of distinct
     # elements has ((alpha-beta)/(gamma-beta))^(q-1) = 1
+    def sub(a, b):  # a - b in GF(q^2), component-wise
+        return F.compose(*(F.q_sub(u, v) for u, v in zip(F.decompose(a), F.decompose(b))))
+
     for alpha, beta, gamma in itertools.permutations(subset, 3):
-        ratio = F.mul(F.sub(alpha, beta), F.inv(F.sub(gamma, beta)))
+        ratio = F.mul(sub(alpha, beta), F.inv(sub(gamma, beta)))
         if F.pow(ratio, F.q - 1) == 1:
             return False
     return True

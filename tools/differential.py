@@ -21,6 +21,12 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     reference instance, and on 500 messages each at q = 49, 128, 243, 251
     and 256 drawn from random.Random("encode:<q>"); on the same seeded
     messages also message_to_plane and plane_to_message of that plane;
+  - msg_add on every message pair and msg_scale on every (kappa, message)
+    at q = 4 and 5, and on 500 pairs and 500 (kappa, message) each at
+    q = 7, 8, 9, 13, 16, 49, 128, 243, 251, 256 drawn from
+    random.Random("messages:<q>"); at the same q, the exception type and
+    text for an x outside GF(q^2), a y outside S and kappa = q;
+  - CodeSpec.gram_inv of construct_code(q) at every prime power q <= 256;
   - generator_matrix at every prime power q = 2..16;
   - the moduli gq and gq2 of tower_for_q and a SHA-256 digest of each of
     its GF(q) tables (add, neg, mul, inv) at every prime power q <= 256;
@@ -34,7 +40,7 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     `construct` with the default strategies at larger q up to 256, with
     `--lambda norm_circle --norm-c 2` at q = 7 and 16, and with the
     explicit non-arc `--lambda 0,1,2` at q = 5.
-The two children run side by side; the whole run takes 8-25 s on a 2-core
+The two children run side by side; the whole run takes 9-30 s on a 2-core
 box under Python 3.11, depending on the host's CPU speed state.
 
 Stdlib only.
@@ -122,6 +128,45 @@ def emit_encodes(cc, dec, out):
             out(f"encode q={q} m={m}", repr(cc.encode(spec, m)))
             plane = cc.message_to_plane(spec, m)
             out(f"message plane q={q} m={m}", repr((plane, cc.plane_to_message(spec, plane))))
+
+
+def emit_message_algebra(cc, dec, out):
+    from hermitian_mds.fields import FieldError, factor_prime_power
+
+    def show(f, *args):
+        try:
+            return repr(f(*args))
+        except Exception as exc:
+            return repr((type(exc).__name__, str(exc)))
+
+    for q in (4, 5):
+        spec = cc.construct_code(q)
+        msgs = list(cc.iter_messages(spec))
+        for m1 in msgs:
+            for m2 in msgs:
+                out(f"msg_add q={q} m1={m1} m2={m2}", show(cc.msg_add, spec, m1, m2))
+            for kappa in range(q):
+                out(f"msg_scale q={q} kappa={kappa} m={m1}", show(cc.msg_scale, spec, kappa, m1))
+    for q in (7, 8, 9, 13, 16, 49, 128, 243, 251, 256):
+        spec = cc.construct_code(q)
+        rng = random.Random(f"messages:{q}")
+        for _ in range(500):
+            m1, m2 = ((rng.randrange(q * q), spec.s[rng.randrange(q)]) for _ in range(2))
+            kappa = rng.randrange(q)
+            out(f"msg_add q={q} m1={m1} m2={m2}", show(cc.msg_add, spec, m1, m2))
+            out(f"msg_scale q={q} kappa={kappa} m={m1}", show(cc.msg_scale, spec, kappa, m1))
+        good, bad_x = (1, spec.s0), (q * q, spec.s0)
+        bad_y = (1, next(y for y in range(q * q) if y not in spec.s))
+        for f, args in ((cc.msg_add, (bad_x, good)), (cc.msg_add, (good, bad_y)),
+                        (cc.msg_scale, (1, bad_x)), (cc.msg_scale, (1, bad_y)),
+                        (cc.msg_scale, (q, good)), (cc.msg_scale, (q, bad_x))):
+            out(f"{f.__name__} q={q} args={args}", show(f, spec, *args))
+    for q in range(2, 257):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        out(f"gram_inv q={q}", repr(cc.construct_code(q).gram_inv))
 
 
 def emit_generators(cc, dec, out):
@@ -282,8 +327,9 @@ def emit(expected_src):
     def out(case, result):
         print(f"{case}\t{result}")
 
-    for part in (emit_decoder, emit_planes, emit_encodes, emit_generators, emit_towers,
-                 emit_supplied_moduli, emit_simulations, emit_cli):
+    for part in (emit_decoder, emit_planes, emit_encodes, emit_message_algebra,
+                 emit_generators, emit_towers, emit_supplied_moduli, emit_simulations,
+                 emit_cli):
         part(cc, dec, out)
     return 0
 
