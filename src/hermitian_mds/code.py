@@ -14,9 +14,11 @@ trace term is c1*lam_i^1 + c2*lam_i^2 for c1 = T(x), c2 = T(eps*x), so the
 codeword is the section of the cone over the arc by the plane
 z = c1*x + c2*y + c0, c0 = norm(x) + T(y).  encode computes it that way
 (message_to_plane, then plane_to_codeword); `verify` checks every symbol
-of every codeword against form_eval.  The resulting code is q-ary, has
-q^3 words, dimension 3 and minimum distance N-2; all of that is
-re-verified by enumeration rather than assumed.
+of every codeword against form_eval.  Every section is a scale and a shift
+of one of q + 1 direction rows, one per point (c1 : c2) of PG(1, q), and
+with q <= 256 a symbol is a byte, so each is one bytes.translate.  The
+resulting code is q-ary, has q^3 words, dimension 3 and minimum distance
+N-2; all of that is re-verified by enumeration rather than assumed.
 
 Messages are planes: (c1, c2) is the trace pairing of {1, eps} applied to
 x's components, and plane_to_codeword is GF(q)-linear, so sums and
@@ -85,6 +87,17 @@ class CodeSpec:
         self.gram_inv = ((tower.q_mul(d, g22), off), (off, tower.q_mul(d, g11)))
 
     @functools.cached_property
+    def _directions(self):
+        """rows[t]: bytes of the section of z = t*x + y (t in GF(q)), rows[q]
+        that of z = x; scale and shift: the GF(q) product and sum rows as
+        256-byte translate tables, zero past q."""
+        F, pad = self.tower, bytes(256 - self.tower.q)
+        add, mul = F.q_add_table, F.q_mul_table
+        rows = [bytes(add[mul[t][l1]][l2] for l1, l2 in self.coords) for t in range(F.q)]
+        rows.append(bytes(l1 for l1, _ in self.coords))
+        return rows, [bytes(r) + pad for r in mul], [bytes(r) + pad for r in add]
+
+    @functools.cached_property
     def codewords(self):
         """All q^3 codewords, in iter_messages order."""
         q = self.tower.q
@@ -150,13 +163,15 @@ def plane_to_message(spec: CodeSpec, plane):
 
 
 def plane_to_codeword(spec: CodeSpec, plane):
-    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0: the plane's cone section, read
-    off the product rows of c1 and c2 and the sum row of c0."""
+    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0, the plane's cone section: that
+    is c2*(t*lam_i^1 + lam_i^2) + c0 with t = c1/c2 when c2 != 0, and
+    c1*lam_i^1 + c0 when c2 = 0, so the direction row of (c1 : c2), scaled
+    by c2 (or c1) and shifted by c0."""
     F = spec.tower
     c1, c2, c0 = plane
-    add, m1, m2 = F.q_add_table, F.q_mul_table[c1], F.q_mul_table[c2]
-    a0 = add[c0]
-    return tuple(a0[add[m1[l1]][m2[l2]]] for l1, l2 in spec.coords)
+    rows, scale, shift = spec._directions
+    row, s = (rows[F.q_mul_table[c1][F.q_inv_table[c2]]], c2) if c2 else (rows[F.q], c1)
+    return tuple(row.translate(scale[s]).translate(shift[c0]))
 
 
 def codeword_to_plane(spec: CodeSpec, w):
@@ -249,10 +264,10 @@ def weight_distribution(spec: CodeSpec, method: str = "enumerate"):
 def expanded_closed_forms(spec: CodeSpec):
     """The three expanded closed-form weight counts (A_{N-2}, A_{N-1}, A_N).
 
-    The first two agree with enumeration on every tested instance.  The
-    A_N expression overcounts by exactly 1 on every tested instance, so
-    callers must treat enumeration as ground truth and surface the
-    difference as information, never adopt this value.
+    They sum to exactly q^3 at every N and q, while the true three sum to
+    q^3 - 1, because A_0 = 1.  So wherever the first two are right (for an
+    MDS code they are), A_N is one too many, at every q: callers treat
+    enumeration as ground truth and report the difference, never adopt it.
     """
     N, q = spec.N, spec.tower.q
     a_nm2 = (N * N - N) * (q - 1) // 2

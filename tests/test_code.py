@@ -6,11 +6,13 @@ space, weight counts and intersection counts are pinned here.  Structural
 claims (injectivity, MDS, closure homomorphisms) are verified by
 exhaustion on small q, the closure homomorphisms also on seeded pairs up
 to q=256, and the trace pairing against its inverse and gq2's
-discriminant at every q <= 256.
+discriminant at every q <= 256.  The plane section and encode are checked
+against their literal forms on seeded planes and messages up to q=256.
 """
 
 import itertools
 import random
+import types
 
 import pytest
 
@@ -72,6 +74,34 @@ def test_encode_is_the_hermitian_form(specs, ref):
             literal = tuple(F.add(head, F.add(F.mul(lq, xq), F.mul(lam, x)))
                             for lam, lq in zip(spec.lam, lam_q))
             assert cc.encode(spec, (x, y)) == literal
+
+
+@pytest.mark.parametrize("q", (2, 16, 49, 128, 243, 251, 256))
+def test_plane_to_codeword_is_the_plane_section(q):
+    # the direction row, scale and shift against the literal section
+    # c1*lam_i^1 + c2*lam_i^2 + c0: every plane (0, 0, c0), seeded planes
+    # (c1, 0, c0) with c1 != 0, and seeded planes with c2 != 0
+    spec = cc.construct_code(q)
+    F = spec.tower
+    rng = random.Random(f"sections:{q}")
+    planes = [(0, 0, c0) for c0 in range(q)]
+    planes += [(rng.randrange(1, q), 0, rng.randrange(q)) for _ in range(100)]
+    planes += [(rng.randrange(q), rng.randrange(1, q), rng.randrange(q)) for _ in range(300)]
+    for c1, c2, c0 in planes:
+        literal = tuple(F.q_add(F.q_add(F.q_mul(c1, l1), F.q_mul(c2, l2)), c0)
+                        for l1, l2 in spec.coords)
+        assert cc.plane_to_codeword(spec, (c1, c2, c0)) == literal, (q, c1, c2, c0)
+
+
+@pytest.mark.parametrize("q", (49, 128, 256))
+def test_encode_is_the_hermitian_form_seeded(q):
+    # the exhaustive check above stops at q = 9
+    spec = cc.construct_code(q)
+    rng = random.Random(f"literal:{q}")
+    for _ in range(200):
+        x, y = rng.randrange(q * q), spec.s[rng.randrange(q)]
+        literal = tuple(cc.form_eval(spec, lam, x, y) for lam in spec.lam)
+        assert cc.encode(spec, (x, y)) == literal, (q, x, y)
 
 
 def test_encode_reference_values(ref):
@@ -174,7 +204,7 @@ def test_weight_distribution_methods_agree(specs):
 
 def test_expanded_closed_forms(specs, ref):
     # the first two expanded forms match enumeration; the last exceeds the
-    # true count by exactly 1 on every tested instance
+    # true count by exactly 1 (why: the sum test below)
     for spec in [ref, specs[3], specs[4], specs[5], specs[7]]:
         we = cc.weight_distribution(spec, "enumerate")
         a_nm2, a_nm1, a_n = cc.expanded_closed_forms(spec)
@@ -182,6 +212,24 @@ def test_expanded_closed_forms(specs, ref):
         assert a_nm1 == we[spec.N - 1]
         assert a_n == we[spec.N] + 1
     assert cc.expanded_closed_forms(ref) == (60, 24, 41)
+
+
+def test_expanded_closed_forms_sum_to_q_cubed():
+    # the three forms sum to q^3 at every N, while the true counts sum to
+    # q^3 - 1 (A_0 = 1): A_N is one too many wherever the first two are right
+    for q in range(2, 257):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        for N in range(3, q + 3):
+            shape = types.SimpleNamespace(N=N, tower=types.SimpleNamespace(q=q))
+            assert sum(cc.expanded_closed_forms(shape)) == q ** 3, (q, N)
+        spec = cc.construct_code(q)
+        N = spec.N
+        wf = cc.weight_distribution(spec, "formula")
+        a_nm2, a_nm1, a_n = cc.expanded_closed_forms(spec)
+        assert (a_nm2, a_nm1, a_n - 1) == (wf[N - 2], wf[N - 1], wf[N]), q
 
 
 def test_msg_add_identity_and_scale_identity(ref):

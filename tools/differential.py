@@ -17,6 +17,10 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     also on every word of the N=5 arcs N5_ARCS and on 400 seeded words of
     the N=9 arc N9_ARC (seeds "<q>:<lambda>:<i>");
   - plane_to_message and codeword_to_plane on all q^3 planes for q <= 9;
+  - plane_to_codeword on all q^3 planes at q = 11, 13 and 16, and on 2 000
+    planes each at q = 49, 128, 243, 251 and 256 drawn from
+    random.Random("sections:<q>"); at those five q also on every plane
+    (c1, 0, c0), one line per c1 holding a SHA-256 digest of its q words;
   - encode on every message at each prime power q <= 9 and on the
     reference instance, and on 500 messages each at q = 49, 128, 243, 251
     and 256 drawn from random.Random("encode:<q>"); on the same seeded
@@ -110,6 +114,23 @@ def emit_planes(cc, dec, out):
             word = cc.plane_to_codeword(spec, plane)
             out(f"planes q={q} plane={plane}",
                 repr((cc.plane_to_message(spec, plane), cc.codeword_to_plane(spec, word))))
+
+
+def emit_plane_sections(cc, dec, out):
+    for q in (11, 13, 16):
+        spec = cc.construct_code(q)
+        for plane in itertools.product(range(q), repeat=3):
+            out(f"section q={q} plane={plane}", repr(cc.plane_to_codeword(spec, plane)))
+    for q in (49, 128, 243, 251, 256):
+        spec = cc.construct_code(q)
+        rng = random.Random(f"sections:{q}")
+        for _ in range(2000):
+            plane = tuple(rng.randrange(q) for _ in range(3))
+            out(f"section q={q} plane={plane}", repr(cc.plane_to_codeword(spec, plane)))
+        for c1 in range(q):  # c2 = 0: every c0, digested to keep the output small
+            words = [cc.plane_to_codeword(spec, (c1, 0, c0)) for c0 in range(q)]
+            out(f"section q={q} plane=({c1}, 0, *)",
+                hashlib.sha256(repr(words).encode()).hexdigest())
 
 
 def emit_encodes(cc, dec, out):
@@ -327,9 +348,9 @@ def emit(expected_src):
     def out(case, result):
         print(f"{case}\t{result}")
 
-    for part in (emit_decoder, emit_planes, emit_encodes, emit_message_algebra,
-                 emit_generators, emit_towers, emit_supplied_moduli, emit_simulations,
-                 emit_cli):
+    for part in (emit_decoder, emit_planes, emit_plane_sections, emit_encodes,
+                 emit_message_algebra, emit_generators, emit_towers,
+                 emit_supplied_moduli, emit_simulations, emit_cli):
         part(cc, dec, out)
     return 0
 
