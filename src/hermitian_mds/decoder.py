@@ -1,4 +1,4 @@
-"""Geometric decoding in PG(3,q), plus a brute-force nearest-codeword oracle.
+"""Geometric and nearest-codeword decoding in PG(3,q).
 
 A received word r lifts to N points (lam_i^1, lam_i^2, r_i, 1), one per
 coordinate, all on the cone with vertex Z_inf = (0,0,1,0) over the base
@@ -75,11 +75,11 @@ read off in closed form.
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import getitem
 
 from .code import (
     CodeSpec,
     codeword_to_plane,
-    enumerate_codewords,
     plane_to_codeword,
     plane_to_message,
     validate_word,
@@ -264,21 +264,25 @@ def geometric_decode(spec: CodeSpec, r):
 
 
 def ml_decode(spec: CodeSpec, r):
-    """Nearest codeword by exhaustive scan; ties break toward the
+    """Nearest codeword: the section by a plane z = c1*x + c2*y + c0 through
+    the most lifted points, whose c0 for each (c1, c2) is the most common
+    value of r_i - c1*lam_i^1 - c2*lam_i^2.  Ties break toward the
     lexicographically smallest codeword and set the tie flag."""
     r = validate_word(spec, r)
-    best_word = None
-    best_dist = spec.N + 1
-    tie = False
-    for w in enumerate_codewords(spec):
-        d = hamming_distance(w, r)
-        if d < best_dist:
-            best_word, best_dist, tie = w, d, False
-        elif d == best_dist:
-            tie = True
-            if w < best_word:
-                best_word = w
-    return best_word, tie
+    F = spec.tower
+    neg, plus_r = F.q_neg_table, [F.q_add_table[c] for c in r]
+    best, planes = 0, []
+    for c1 in range(F.q):
+        for c2 in range(F.q):
+            # r_i plus symbol i of the section by (-c1, -c2, 0)
+            counts = Counter(map(getitem, plus_r, plane_to_codeword(spec, (neg[c1], neg[c2], 0))))
+            n = max(counts.values())
+            if n > best:
+                best, planes = n, []
+            if n == best:
+                planes += [(c1, c2, c0) for c0, k in counts.items() if k == n]
+    words = [plane_to_codeword(spec, plane) for plane in planes]
+    return min(words), len(words) > 1
 
 
 def ml_decode_message(spec: CodeSpec, r):

@@ -160,6 +160,35 @@ def test_decode_ml_method(ref_path, capsys):
         "codeword=1,1,1,1,1,1\nmessage=0,3\ncorrected=5\ntie=no\n")
 
 
+def test_decode_ml_past_the_enumeration_budget(tmp_path, capsys):
+    # ML decoding counts planes instead of scanning the q^3 codewords, so it
+    # runs past q=101, where verify and weights still stop at the
+    # enumeration budget.  Measured 0.06 s at q=103 and 0.8 s at q=256 for
+    # the decode command on a 2-core box
+    for q, budget_s in ((103, 1.0), (256, 5.0)):
+        spec = cc.construct_code(q)
+        path = tmp_path / f"q{q}.code"
+        path.write_text(cc.to_text(spec))
+        rng = random.Random(f"ml-cli:{q}")
+        m = (rng.randrange(q * q), spec.s[rng.randrange(q)])
+        w = cc.encode(spec, m)
+        r = list(w)
+        errors = sorted(rng.sample(range(spec.N), (spec.N - 3) // 2))
+        for pos in errors:
+            r[pos] = spec.tower.q_add(r[pos], rng.randrange(1, q))
+        t0 = time.perf_counter()
+        assert main(["decode", "--code", str(path), "--word", ",".join(map(str, r)),
+                     "--method", "ml"]) == 0
+        elapsed = time.perf_counter() - t0
+        assert capsys.readouterr().out == (
+            f"codeword={','.join(map(str, w))}\nmessage={m[0]},{m[1]}\n"
+            f"corrected={','.join(map(str, errors))}\ntie=no\n")
+        assert elapsed < budget_s, f"decode --method ml at q={q} took {elapsed:.2f} s"
+    for command in ("verify", "weights"):
+        assert main([command, "--code", str(tmp_path / "q103.code")]) == 1
+        assert capsys.readouterr().err == "error: enumeration budget exceeded for q=103\n"
+
+
 def test_decode_failure_exit_code(ref_path, capsys):
     # weight-2 pattern the curve-fitting pass rejects: detected, not corrected
     assert main(["decode", "--code", ref_path, "--word", "0,0,0,0,1,1"]) == 3

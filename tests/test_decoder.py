@@ -2,8 +2,10 @@
 
 Centers come from one family, the affine points of the cone generator
 over the first point of z = 0 off the base arc; every codeword plane
-contains exactly one of them.  ml_decode is the independent oracle for
-every guarantee claim; sampled runs use fixed seeds.  The q=4 sweep and
+contains exactly one of them.  ml_decode, which counts the lifted points
+on planes, is the independent oracle for every guarantee claim, and
+reference_ml_decode, a scan of the enumerated codewords, is its own
+reference at q <= 16; sampled runs use fixed seeds.  The q=4 sweep and
 the N=5 sweeps here are exhaustive, as are the q=5 sweeps of the
 acceptance suite; at q = 7, 8 and 9 every word within the radius is
 covered up to the decoder's symmetry.
@@ -635,19 +637,90 @@ def test_ml_decode(ref):
     assert msg == (17, 4) and not tie
 
 
+def reference_ml_decode(spec, r):
+    """Nearest codeword by a scan of the q^3 enumerated codewords; ties
+    break toward the lexicographically smallest codeword and set the flag."""
+    r = cc.validate_word(spec, r)
+    best_word, best_dist, tie = None, spec.N + 1, False
+    for w in cc.enumerate_codewords(spec):
+        d = dec.hamming_distance(w, r)
+        if d < best_dist:
+            best_word, best_dist, tie = w, d, False
+        elif d == best_dist:
+            tie = True
+            if w < best_word:
+                best_word = w
+    return best_word, tie
+
+
 def test_ml_decode_tie(ref):
     # mix two symbols of two codewords at distance 4: the result is
-    # equidistant from both, so the flag is set and the smaller word wins
+    # equidistant from both, so the flag is set and the smaller word wins;
+    # every such mix with words[1], against the scan
     words = cc.enumerate_codewords(ref)
     w1 = words[1]
-    w2 = next(w for w in words if dec.hamming_distance(w, w1) == 4)
-    diff = [i for i in range(6) if w1[i] != w2[i]]
-    r = list(w1)
-    for i in diff[:2]:
-        r[i] = w2[i]
-    r = tuple(r)
-    assert dec.hamming_distance(r, w1) == dec.hamming_distance(r, w2) == 2
-    best, tie = dec.ml_decode(ref, r)
-    assert tie
-    dmin = min(dec.hamming_distance(w, r) for w in words)
-    assert best == min(w for w in words if dec.hamming_distance(w, r) == dmin)
+    for w2 in (w for w in words if dec.hamming_distance(w, w1) == 4):
+        diff = [i for i in range(6) if w1[i] != w2[i]]
+        for mixed in itertools.combinations(diff, 2):
+            r = tuple(w2[i] if i in mixed else c for i, c in enumerate(w1))
+            assert dec.hamming_distance(r, w1) == dec.hamming_distance(r, w2) == 2
+            best, tie = dec.ml_decode(ref, r)
+            assert tie
+            assert (best, tie) == reference_ml_decode(ref, r)
+
+
+def test_ml_decode_matches_the_scan():
+    # every word at q = 3 and 4; at q = 5 to 16, 100 seeded words, odd ones
+    # uniform and even ones a codeword plus errors at up to N positions
+    for q in (3, 4):
+        spec = cc.construct_code(q)
+        for r in itertools.product(range(q), repeat=spec.N):
+            assert dec.ml_decode(spec, r) == reference_ml_decode(spec, r), r
+    for q in (5, 7, 8, 9, 13, 16):
+        spec = cc.construct_code(q)
+        F, N = spec.tower, spec.N
+        rng = random.Random(f"ml:{q}")
+        for i in range(100):
+            if i % 2:
+                r = tuple(rng.randrange(q) for _ in range(N))
+            else:
+                r = list(cc.encode(spec, (rng.randrange(q * q), spec.s[rng.randrange(q)])))
+                for pos in rng.sample(range(N), rng.randrange(N + 1)):
+                    r[pos] = F.q_add(r[pos], rng.randrange(1, q))
+            assert dec.ml_decode(spec, r) == reference_ml_decode(spec, r), (q, r)
+
+
+@pytest.mark.parametrize("q", [31, 32])
+def test_geometric_decode_agrees_with_ml_at_large_q(q):
+    # ML from the planes is the oracle past the scan's range, at odd q (norm
+    # circle) and even q (hyperoval).  On 12 seeded words, three each with
+    # t, t+1 and t+2 random errors and three with t+2 errors steered onto a
+    # codeword at distance N-2 (row 2 of the generator's rref is 0 at
+    # positions 0 and 1), geometric_decode returns ML's codeword when it
+    # lies within t of the word, and FAIL otherwise
+    spec = cc.construct_code(q)
+    F, N, t = spec.tower, spec.N, (spec.N - 3) // 2
+    low = cc.generator_matrix(spec)[2]
+    rng = random.Random(f"oracle:{q}")
+    within = 0
+    for i in range(12):
+        sent = cc.encode(spec, (rng.randrange(q * q), spec.s[rng.randrange(q)]))
+        kappa = rng.randrange(1, q)
+        near = tuple(F.q_add(a, F.q_mul(kappa, b)) for a, b in zip(sent, low))
+        r = list(sent)
+        if i % 4 == 3:
+            for pos in rng.sample(range(2, N), t + 2):
+                r[pos] = near[pos]
+        else:
+            for pos in rng.sample(range(N), t + min(i % 4, 2)):
+                r[pos] = F.q_add(r[pos], rng.randrange(1, q))
+        best, _tie = dec.ml_decode(spec, r)
+        if i % 4 != 2:
+            assert best == (near if i % 4 == 3 else sent)
+        res = dec.geometric_decode(spec, r)
+        if dec.hamming_distance(best, r) <= t:
+            within += 1
+            assert res is not None and res.codeword == best
+        else:
+            assert res is None
+    assert within == 6

@@ -8,7 +8,9 @@ checkout, one child process runs this file with `--emit` and
 PYTHONPATH=<dir>/src; it prints one `case<TAB>result` line per case, in a
 fixed order.  The two line lists are compared, the first mismatches are
 printed, and the exit code is 0 when every line agrees, 1 when some differ
-and 2 when a child fails or imports the package from the wrong place.
+and 2 when a child fails or imports the package from the wrong place.  A
+case that raises records the exception's type and text as its result, so
+one raising case shows up as a mismatch and the run goes on.
 
 Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
   - geometric_decode (codeword, message, corrected positions, center,
@@ -16,6 +18,11 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     q = 7, 8, 9, 13, 16: half a codeword plus 0..t+2 errors, half uniform;
     also on every word of the N=5 arcs N5_ARCS and on 400 seeded words of
     the N=9 arc N9_ARC (seeds "<q>:<lambda>:<i>");
+  - ml_decode (codeword, tie flag) on every word at q=4 and q=5 and on the
+    same seeded words at q = 7, 8, 9, 13, 16;
+  - both decoders on every coset representative at q=7, the 16 807 words
+    with r0 = r1 = r2 = 0 (three positions of an MDS code of dimension 3
+    are an information set, so each coset holds exactly one);
   - plane_to_message and codeword_to_plane on all q^3 planes for q <= 9;
   - plane_to_codeword on all q^3 planes at q = 11, 13 and 16, and on 2 000
     planes each at q = 49, 128, 243, 251 and 256 drawn from
@@ -44,8 +51,8 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     `construct` with the default strategies at larger q up to 256, with
     `--lambda norm_circle --norm-c 2` at q = 7 and 16, and with the
     explicit non-arc `--lambda 0,1,2` at q = 5.
-The two children run side by side; the whole run takes 9-30 s on a 2-core
-box under Python 3.11, depending on the host's CPU speed state.
+The two children run side by side; the whole run takes 20-45 s on a
+2-core box under Python 3.11, depending on the host's CPU speed state.
 
 Stdlib only.
 """
@@ -71,7 +78,7 @@ def emit_decoder(cc, dec, out):
         res = dec.geometric_decode(spec, r)
         if res is None:
             return "FAIL"
-        return repr((res.codeword, res.message, res.corrected_positions, res.center, res.factor))
+        return res.codeword, res.message, res.corrected_positions, res.center, res.factor
 
     def seeded(spec, tag, n):
         q, N, t = spec.tower.q, spec.N, (spec.N - 3) // 2
@@ -90,110 +97,111 @@ def emit_decoder(cc, dec, out):
     for q in (4, 5):
         spec = cc.construct_code(q)
         for r in itertools.product(range(q), repeat=spec.N):
-            out(f"decode q={q} r={r}", show(spec, r))
+            out(f"decode q={q} r={r}", show, spec, r)
+            out(f"ml q={q} r={r}", dec.ml_decode, spec, r)
     for q in (7, 8, 9, 13, 16):
         spec = cc.construct_code(q)
         for r in seeded(spec, q, 200):
-            out(f"decode q={q} r={r}", show(spec, r))
+            out(f"decode q={q} r={r}", show, spec, r)
+            out(f"ml q={q} r={r}", dec.ml_decode, spec, r)
+    spec = cc.construct_code(7)
+    for tail in itertools.product(range(7), repeat=spec.N - 3):
+        r = (0, 0, 0, *tail)
+        out(f"coset decode q=7 r={r}", show, spec, r)
+        out(f"coset ml q=7 r={r}", dec.ml_decode, spec, r)
     # N = 5 and N = 9 arcs, where a basis-dependent factor test could miss
     # words within the radius
     for q, lam in N5_ARCS:
         spec = cc.construct_code(q, "explicit", arc_values=lam)
         for r in itertools.product(range(q), repeat=spec.N):
-            out(f"decode q={q} lambda={lam} r={r}", show(spec, r))
+            out(f"decode q={q} lambda={lam} r={r}", show, spec, r)
     q, lam = N9_ARC
     spec = cc.construct_code(q, "explicit", arc_values=lam)
     for r in seeded(spec, f"{q}:{lam}", 400):
-        out(f"decode q={q} lambda={lam} r={r}", show(spec, r))
+        out(f"decode q={q} lambda={lam} r={r}", show, spec, r)
 
 
 def emit_planes(cc, dec, out):
     for q in (2, 3, 4, 5, 7, 8, 9):
         spec = cc.construct_code(q)
         for plane in itertools.product(range(q), repeat=3):
-            word = cc.plane_to_codeword(spec, plane)
-            out(f"planes q={q} plane={plane}",
-                repr((cc.plane_to_message(spec, plane), cc.codeword_to_plane(spec, word))))
+            out(f"planes q={q} plane={plane}", lambda: (
+                cc.plane_to_message(spec, plane),
+                cc.codeword_to_plane(spec, cc.plane_to_codeword(spec, plane))))
 
 
 def emit_plane_sections(cc, dec, out):
     for q in (11, 13, 16):
         spec = cc.construct_code(q)
         for plane in itertools.product(range(q), repeat=3):
-            out(f"section q={q} plane={plane}", repr(cc.plane_to_codeword(spec, plane)))
+            out(f"section q={q} plane={plane}", cc.plane_to_codeword, spec, plane)
     for q in (49, 128, 243, 251, 256):
         spec = cc.construct_code(q)
         rng = random.Random(f"sections:{q}")
         for _ in range(2000):
             plane = tuple(rng.randrange(q) for _ in range(3))
-            out(f"section q={q} plane={plane}", repr(cc.plane_to_codeword(spec, plane)))
+            out(f"section q={q} plane={plane}", cc.plane_to_codeword, spec, plane)
         for c1 in range(q):  # c2 = 0: every c0, digested to keep the output small
-            words = [cc.plane_to_codeword(spec, (c1, 0, c0)) for c0 in range(q)]
-            out(f"section q={q} plane=({c1}, 0, *)",
-                hashlib.sha256(repr(words).encode()).hexdigest())
+            out(f"section q={q} plane=({c1}, 0, *)", lambda: hashlib.sha256(repr(
+                [cc.plane_to_codeword(spec, (c1, 0, c0)) for c0 in range(q)]).encode()).hexdigest())
 
 
 def emit_encodes(cc, dec, out):
     for q in (2, 3, 4, 5, 7, 8, 9):
         spec = cc.construct_code(q)
         for m in cc.iter_messages(spec):
-            out(f"encode q={q} m={m}", repr(cc.encode(spec, m)))
+            out(f"encode q={q} m={m}", cc.encode, spec, m)
     spec = cc.reference_instance()
     for m in cc.iter_messages(spec):
-        out(f"encode reference m={m}", repr(cc.encode(spec, m)))
+        out(f"encode reference m={m}", cc.encode, spec, m)
     for q in (49, 128, 243, 251, 256):
         spec = cc.construct_code(q)
         rng = random.Random(f"encode:{q}")
         for _ in range(500):
             m = (rng.randrange(q * q), spec.s[rng.randrange(q)])
-            out(f"encode q={q} m={m}", repr(cc.encode(spec, m)))
-            plane = cc.message_to_plane(spec, m)
-            out(f"message plane q={q} m={m}", repr((plane, cc.plane_to_message(spec, plane))))
+            out(f"encode q={q} m={m}", cc.encode, spec, m)
+            out(f"message plane q={q} m={m}", lambda: (
+                cc.message_to_plane(spec, m),
+                cc.plane_to_message(spec, cc.message_to_plane(spec, m))))
 
 
 def emit_message_algebra(cc, dec, out):
     from hermitian_mds.fields import FieldError, factor_prime_power
-
-    def show(f, *args):
-        try:
-            return repr(f(*args))
-        except Exception as exc:
-            return repr((type(exc).__name__, str(exc)))
 
     for q in (4, 5):
         spec = cc.construct_code(q)
         msgs = list(cc.iter_messages(spec))
         for m1 in msgs:
             for m2 in msgs:
-                out(f"msg_add q={q} m1={m1} m2={m2}", show(cc.msg_add, spec, m1, m2))
+                out(f"msg_add q={q} m1={m1} m2={m2}", cc.msg_add, spec, m1, m2)
             for kappa in range(q):
-                out(f"msg_scale q={q} kappa={kappa} m={m1}", show(cc.msg_scale, spec, kappa, m1))
+                out(f"msg_scale q={q} kappa={kappa} m={m1}", cc.msg_scale, spec, kappa, m1)
     for q in (7, 8, 9, 13, 16, 49, 128, 243, 251, 256):
         spec = cc.construct_code(q)
         rng = random.Random(f"messages:{q}")
         for _ in range(500):
             m1, m2 = ((rng.randrange(q * q), spec.s[rng.randrange(q)]) for _ in range(2))
             kappa = rng.randrange(q)
-            out(f"msg_add q={q} m1={m1} m2={m2}", show(cc.msg_add, spec, m1, m2))
-            out(f"msg_scale q={q} kappa={kappa} m={m1}", show(cc.msg_scale, spec, kappa, m1))
+            out(f"msg_add q={q} m1={m1} m2={m2}", cc.msg_add, spec, m1, m2)
+            out(f"msg_scale q={q} kappa={kappa} m={m1}", cc.msg_scale, spec, kappa, m1)
         good, bad_x = (1, spec.s0), (q * q, spec.s0)
         bad_y = (1, next(y for y in range(q * q) if y not in spec.s))
         for f, args in ((cc.msg_add, (bad_x, good)), (cc.msg_add, (good, bad_y)),
                         (cc.msg_scale, (1, bad_x)), (cc.msg_scale, (1, bad_y)),
                         (cc.msg_scale, (q, good)), (cc.msg_scale, (q, bad_x))):
-            out(f"{f.__name__} q={q} args={args}", show(f, spec, *args))
+            out(f"{f.__name__} q={q} args={args}", f, spec, *args)
     for q in range(2, 257):
         try:
             factor_prime_power(q)
         except FieldError:
             continue
-        out(f"gram_inv q={q}", repr(cc.construct_code(q).gram_inv))
+        out(f"gram_inv q={q}", lambda: cc.construct_code(q).gram_inv)
 
 
 def emit_generators(cc, dec, out):
     for q in PRIME_POWERS:
         G = cc.generator_matrix(cc.construct_code(q))
-        out(f"generator q={q}", repr(getattr(G, "rows", G)))  # older checkouts: a MatrixFq
+        out(f"generator q={q}", getattr, G, "rows", G)  # older checkouts: a MatrixFq
 
 
 def tower_digest(F):
@@ -211,7 +219,7 @@ def emit_towers(cc, dec, out):
             factor_prime_power(q)
         except FieldError:
             continue
-        out(f"tower q={q}", tower_digest(tower_for_q(q)))
+        out(f"tower q={q}", lambda: tower_digest(tower_for_q(q)))
 
 
 SUPPLIED_MODULI = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
@@ -230,17 +238,14 @@ def emit_supplied_moduli(cc, dec, out):
     from hermitian_mds.fields import FieldTower
 
     def build(p, h, gq):
-        try:
-            return tower_digest(FieldTower(p, h, gq=gq))
-        except Exception as exc:
-            return repr((type(exc).__name__, str(exc)))
+        return tower_digest(FieldTower(p, h, gq=gq))
 
     for p, h in SUPPLIED_MODULI:
         for low in range(p ** h):
             gq = [low // p ** i % p for i in range(h)] + [1]
-            out(f"modulus p={p} h={h} gq={gq}", build(p, h, gq))
+            out(f"modulus p={p} h={h} gq={gq}", build, p, h, gq)
     for p, h, gq in MALFORMED_MODULI:
-        out(f"modulus p={p} h={h} gq={gq}", build(p, h, gq))
+        out(f"modulus p={p} h={h} gq={gq}", build, p, h, gq)
 
 
 def emit_simulations(cc, dec, out):
@@ -255,15 +260,17 @@ def emit_simulations(cc, dec, out):
         sent.append(m)
         return encode(spec, m)
 
+    def simulate(spec, errors, seed):
+        sent.clear()
+        return run_simulation(spec, errors, 40, seed=seed), sent
+
     cc.encode = recording
     try:
         for q in (4, 5, 7, 8):
             spec = cc.construct_code(q)
             t = (spec.N - 3) // 2
             for errors in (t, t + 1, t + 2):
-                sent.clear()
-                report = run_simulation(spec, errors, 40, seed=q)
-                out(f"simulate q={q} errors={errors}", repr((report, sent)))
+                out(f"simulate q={q} errors={errors}", simulate, spec, errors, q)
     finally:
         cc.encode = encode
 
@@ -323,14 +330,14 @@ def emit_cli(cc, dec, out):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
-        return repr((code, stdout.getvalue(), stderr.getvalue()))
+        return code, stdout.getvalue(), stderr.getvalue()
 
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)  # instance files are named relative to it
         try:
             for argv in CLI_FILES + CLI_CASES:
-                out("cli " + " ".join(argv), run(argv))
+                out("cli " + " ".join(argv), run, argv)
         finally:
             os.chdir(cwd)
 
@@ -345,8 +352,14 @@ def emit(expected_src):
         print(f"imported hermitian_mds from {here}, not {expected_src}", file=sys.stderr)
         return 2
 
-    def out(case, result):
-        print(f"{case}\t{result}")
+    def out(case, f, *args):
+        """Print case<TAB>f(*args): a str as it is, any other value by its
+        repr; if it raises, the exception's type and text."""
+        try:
+            result = f(*args)
+        except Exception as exc:
+            result = repr((type(exc).__name__, str(exc)))
+        print(f"{case}\t{result if isinstance(result, str) else repr(result)}")
 
     for part in (emit_decoder, emit_planes, emit_plane_sections, emit_encodes,
                  emit_message_algebra, emit_generators, emit_towers,
