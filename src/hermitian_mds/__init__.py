@@ -4,7 +4,6 @@ from .code import (
     CodeSpec,
     construct_code,
     encode,
-    enumerate_codewords,
     from_text,
     is_mds,
     min_distance,
@@ -22,7 +21,6 @@ __all__ = [
     "FieldTower",
     "construct_code",
     "encode",
-    "enumerate_codewords",
     "from_text",
     "geometric_decode",
     "is_mds",

@@ -197,12 +197,14 @@ def cmd_verify(args) -> int:
         claim("transversal-bijective",
               sorted(F.trace(y) for y in spec.s) == list(range(q)),
               "trace restricted to S covers GF(q)")
-        words = cc.enumerate_codewords(spec)
-        claim("codeword-count", len(set(words)) == q ** 3, f"{len(words)} = q^3")
+        we = cc.weight_distribution(spec, "enumerate")
+        # plane_to_codeword is GF(q)-linear and messages map onto planes one
+        # to one (gram is invertible, S a transversal), so the q^3 codewords
+        # are distinct exactly when only the zero plane has an all-zero section
+        claim("codeword-count", we[0] == 1, f"{sum(we.values())} = q^3")
         claim("literal-form",
-              all(w[i] == cc.form_eval(spec, lam, x, y)
-                  for (x, y), w in zip(cc.iter_messages(spec), words)
-                  for i, lam in enumerate(spec.lam)),
+              all(cc.encode(spec, m) == tuple(cc.form_eval(spec, lam, *m) for lam in spec.lam)
+                  for m in cc.iter_messages(spec)),
               "every symbol is the five-term Hermitian form")
         d = cc.min_distance(spec)
         G = cc.generator_matrix(spec)
@@ -217,7 +219,6 @@ def cmd_verify(args) -> int:
               f"{N * (N - 1) // 2} pairs, each {q} common zeros")
         claim("common-zero-set", cc.common_zero_set(spec) == {(0, spec.s0)},
               "only the zero message kills every form")
-        we = cc.weight_distribution(spec, "enumerate")
         wf = cc.weight_distribution(spec, "formula")
         claim("weights-methods-agree", we == wf, "enumeration = sum formula")
         a_nm2, a_nm1, a_n = cc.expanded_closed_forms(spec)

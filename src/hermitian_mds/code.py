@@ -13,12 +13,17 @@ coordinate form (form_eval).  With lambda_i = lam_i^1 + eps*lam_i^2 the
 trace term is c1*lam_i^1 + c2*lam_i^2 for c1 = T(x), c2 = T(eps*x), so the
 codeword is the section of the cone over the arc by the plane
 z = c1*x + c2*y + c0, c0 = norm(x) + T(y).  encode computes it that way
-(message_to_plane, then plane_to_codeword); `verify` checks every symbol
-of every codeword against form_eval.  Every section is a scale and a shift
-of one of q + 1 direction rows, one per point (c1 : c2) of PG(1, q), and
-with q <= 256 a symbol is a byte, so each is one bytes.translate.  The
-resulting code is q-ary, has q^3 words, dimension 3 and minimum distance
-N-2; all of that is re-verified by enumeration rather than assumed.
+(message_to_plane, then plane_to_codeword).  Every section is a scale and
+a shift of one of q + 1 direction rows, one per point (c1 : c2) of
+PG(1, q), and with q <= 256 a symbol is a byte, so each is one
+bytes.translate.  The resulting code is q-ary, has q^3 words, dimension 3
+and minimum distance N-2; none of that is assumed.  The weights, and with
+them |C| = q^3, the distance and the common zeros, are counted from the
+planes: the codeword of (c1, c2, c0) has weight N - k, k the number of i
+with c1*lam_i^1 + c2*lam_i^2 + c0 = 0, and plane_agreements counts k for
+every c0 of one (c1, c2) in one pass over its section.  `verify` checks
+every symbol of every codeword against form_eval (literal-form) and counts
+the pairwise zeros over every message, the scans ENUMERATION_BUDGET bounds.
 
 Messages are planes: (c1, c2) is the trace pairing of {1, eps} applied to
 x's components, and plane_to_codeword is GF(q)-linear, so sums and
@@ -27,7 +32,9 @@ multiples of codewords are those of their planes (msg_add, msg_scale).
 
 import functools
 import math
+from collections import Counter
 from itertools import combinations
+from operator import getitem
 
 from .fields import FieldTower, tower_for_q
 from .geometry import (
@@ -38,7 +45,7 @@ from .geometry import (
 )
 from .linalg import rank, rref
 
-ENUMERATION_BUDGET = 1 << 20  # max q^3 for exhaustive codeword scans
+ENUMERATION_BUDGET = 1 << 20  # max q^3 for scans over every message
 
 # Known reference instance over GF(25), eps a root of X^2 - X + 2:
 # the arc is eps^{3,4,8,15,16,20} and S is the prime field.  Its generator
@@ -96,17 +103,6 @@ class CodeSpec:
         rows = [bytes(add[mul[t][l1]][l2] for l1, l2 in self.coords) for t in range(F.q)]
         rows.append(bytes(l1 for l1, _ in self.coords))
         return rows, [bytes(r) + pad for r in mul], [bytes(r) + pad for r in add]
-
-    @functools.cached_property
-    def codewords(self):
-        """All q^3 codewords, in iter_messages order."""
-        q = self.tower.q
-        if q ** 3 > ENUMERATION_BUDGET:
-            raise ValueError(f"enumeration budget exceeded for q={q}")
-        words = [encode(self, m) for m in iter_messages(self)]
-        if len(set(words)) != q ** 3:
-            raise AssertionError("encoding is not injective on the domain")
-        return words
 
     def __eq__(self, other):
         if not isinstance(other, CodeSpec):
@@ -184,8 +180,22 @@ def codeword_to_plane(spec: CodeSpec, w):
     return tuple(row[3] for row in R[:3])
 
 
+def plane_agreements(spec: CodeSpec, r):
+    """For each (c1, c2) in GF(q)^2, in order: c1, c2 and a Counter mapping
+    c0 to the number of i with r_i = c1*lam_i^1 + c2*lam_i^2 + c0, where
+    the plane z = c1*x + c2*y + c0 agrees with r; a c0 that agrees nowhere
+    is absent.  With r = 0 that is the zero count of (c1, c2, c0)'s word."""
+    F = spec.tower
+    neg, plus_r = F.q_neg_table, [F.q_add_table[c] for c in r]
+    for c1 in range(F.q):
+        for c2 in range(F.q):
+            # r_i plus symbol i of the section by (-c1, -c2, 0)
+            section = plane_to_codeword(spec, (neg[c1], neg[c2], 0))
+            yield c1, c2, Counter(map(getitem, plus_r, section))
+
+
 # ---------------------------------------------------------------------------
-# encoding and enumeration
+# encoding and weights
 # ---------------------------------------------------------------------------
 
 def form_eval(spec: CodeSpec, lam_val: int, x: int, y: int) -> int:
@@ -207,15 +217,14 @@ def encode(spec: CodeSpec, m) -> tuple:
 
 
 def iter_messages(spec: CodeSpec):
-    """All of Omega in deterministic order: x ascending, y in S order."""
+    """All of Omega in deterministic order: x ascending, y in S order.
+    Raises before the first message past ENUMERATION_BUDGET."""
+    q = spec.tower.q
+    if q ** 3 > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration budget exceeded for q={q}")
     for x in spec.tower.elements():
         for y in spec.s:
             yield (x, y)
-
-
-def enumerate_codewords(spec: CodeSpec):
-    """All q^3 codewords, in iter_messages order (cached on the instance)."""
-    return spec.codewords
 
 
 def generator_matrix(spec: CodeSpec) -> list:
@@ -226,15 +235,16 @@ def generator_matrix(spec: CodeSpec) -> list:
 
 
 def min_distance(spec: CodeSpec) -> int:
-    return min(sum(1 for c in w if c) for w in enumerate_codewords(spec) if any(w))
+    """The least nonzero weight of the counted weight distribution."""
+    return min(i for i, a in weight_distribution(spec, "enumerate").items() if i and a)
 
 
 def is_mds(spec: CodeSpec) -> bool:
     """Whether every 3-column minor of the generator matrix is nonsingular.
 
-    That is the MDS property of a dimension-3 code.  It reads the plane
-    basis, not the enumerated codewords, so it is an independent check of
-    min_distance(spec) == N-2.
+    That is the MDS property of a dimension-3 code.  It reads the
+    generator matrix, not the plane sections that min_distance counts
+    zeros on, so it is an independent check of min_distance(spec) == N-2.
     """
     F = spec.tower
     cols = list(zip(*generator_matrix(spec)))
@@ -242,12 +252,21 @@ def is_mds(spec: CodeSpec) -> bool:
 
 
 def weight_distribution(spec: CodeSpec, method: str = "enumerate"):
-    """Map i -> number of codewords of weight i, for i in 0..N."""
+    """Map i -> number of codewords of weight i, for i in 0..N.
+
+    "enumerate" covers all q^3 codewords by their zero counts, without
+    building a word: for each (c1, c2), the codeword of (c1, c2, c0) has
+    weight N - k for each c0 the plane_agreements Counter of 0 maps to k,
+    and weight N for each of the q - len(Counter) values of c0 it lacks.
+    "formula" is the MDS weight distribution (MacWilliams-Sloane ch. 11).
+    """
     N, q = spec.N, spec.tower.q
     if method == "enumerate":
         counts = {i: 0 for i in range(N + 1)}
-        for w in enumerate_codewords(spec):
-            counts[sum(1 for c in w if c)] += 1
+        for _c1, _c2, zeros in plane_agreements(spec, (0,) * N):
+            for k in zeros.values():
+                counts[N - k] += 1
+            counts[N] += q - len(zeros)
         return counts
     if method == "formula":
         counts = {i: 0 for i in range(N + 1)}
@@ -317,8 +336,12 @@ def pairwise_intersection_count(spec: CodeSpec, lam1: int, lam2: int) -> int:
 
 
 def common_zero_set(spec: CodeSpec):
-    """Messages at which every coordinate form vanishes."""
-    return {m for m, w in zip(iter_messages(spec), spec.codewords) if not any(w)}
+    """Messages at which every coordinate form vanishes: those of the planes
+    that agree with 0 at all N positions."""
+    N = spec.N
+    return {plane_to_message(spec, (c1, c2, c0))
+            for c1, c2, zeros in plane_agreements(spec, (0,) * N)
+            for c0, k in zeros.items() if k == N}
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,11 @@ def test_decode_ml_method(ref_path, capsys):
 
 
 def test_decode_ml_past_the_enumeration_budget(tmp_path, capsys):
-    # ML decoding counts planes instead of scanning the q^3 codewords, so it
-    # runs past q=101, where verify and weights still stop at the
-    # enumeration budget.  Measured 0.06 s at q=103 and 0.8 s at q=256 for
-    # the decode command on a 2-core box
+    # ML decoding and the weights count planes instead of scanning the q^3
+    # codewords, so both run past q=101, where verify still stops at the
+    # enumeration budget of its scans over every message.  Measured on a
+    # 2-core box: decode 0.06 s at q=103 and 0.8 s at q=256, weights 0.07 s
+    # and 0.9 s
     for q, budget_s in ((103, 1.0), (256, 5.0)):
         spec = cc.construct_code(q)
         path = tmp_path / f"q{q}.code"
@@ -184,9 +185,15 @@ def test_decode_ml_past_the_enumeration_budget(tmp_path, capsys):
             f"codeword={','.join(map(str, w))}\nmessage={m[0]},{m[1]}\n"
             f"corrected={','.join(map(str, errors))}\ntie=no\n")
         assert elapsed < budget_s, f"decode --method ml at q={q} took {elapsed:.2f} s"
-    for command in ("verify", "weights"):
-        assert main([command, "--code", str(tmp_path / "q103.code")]) == 1
-        assert capsys.readouterr().err == "error: enumeration budget exceeded for q=103\n"
+        t0 = time.perf_counter()
+        assert main(["weights", "--code", str(path)]) == 0
+        elapsed = time.perf_counter() - t0
+        table = capsys.readouterr().out.splitlines()[1:spec.N + 2]
+        assert [row.split()[0] for row in table] == [str(i) for i in range(spec.N + 1)]
+        assert all(row.split()[1] == row.split()[2] for row in table), q
+        assert elapsed < budget_s, f"weights at q={q} took {elapsed:.2f} s"
+    assert main(["verify", "--code", str(tmp_path / "q103.code")]) == 1
+    assert capsys.readouterr().err == "error: enumeration budget exceeded for q=103\n"
 
 
 def test_decode_failure_exit_code(ref_path, capsys):
@@ -295,21 +302,23 @@ def test_verify_literal_form_failure_exit_2(ref_path, capsys, monkeypatch):
 
 
 def test_verify_distance_failure_exit_2(ref_path, capsys, monkeypatch):
-    # one symbol of a weight-4 codeword is zeroed: the enumerated distance
-    # drops to 3 while the generator's minors stay nonsingular, so the two
-    # MDS checks disagree.  verify reports it in its table, not a traceback
-    encode = cc.encode
+    # the weights are counted on the sections (-c1, -c2, 0): one of them
+    # holds some b twice, and a third symbol set to b gives the codeword
+    # (c1, c2, b) three zeros.  The counted distance drops to 3 while the
+    # generator's minors stay nonsingular, so the two MDS checks disagree.
+    # verify reports it in its table, not a traceback
+    section = cc.plane_to_codeword
     spec = cc.reference_instance()
-    bad = next(m for m in cc.iter_messages(spec) if sum(map(bool, encode(spec, m))) == 4)
+    bad = (1, 0, 0)
+    w = section(spec, bad)
+    b = next(c for c in w if w.count(c) == 2)
+    i = next(i for i, c in enumerate(w) if c != b)
 
-    def corrupted(spec, m):
-        w = encode(spec, m)
-        if m != bad:
-            return w
-        i = next(i for i, c in enumerate(w) if c)
-        return w[:i] + (0,) + w[i + 1:]
+    def corrupted(spec, plane):
+        w = section(spec, plane)
+        return w[:i] + (b,) + w[i + 1:] if plane == bad else w
 
-    monkeypatch.setattr(cc, "encode", corrupted)
+    monkeypatch.setattr(cc, "plane_to_codeword", corrupted)
     assert main(["verify", "--code", ref_path]) == 2
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -8,8 +8,13 @@ exhaustion on small q, the closure homomorphisms also on seeded pairs up
 to q=256, and the trace pairing against its inverse and gq2's
 discriminant at every q <= 256.  The plane section and encode are checked
 against their literal forms on seeded planes and messages up to q=256.
+The weights, distance and common zeros, counted from the plane sections,
+are checked against a local enumeration that encodes every message, at
+every prime power q <= 16.
 """
 
+import collections
+import functools
 import itertools
 import random
 import types
@@ -20,6 +25,12 @@ from hermitian_mds import code as cc
 from hermitian_mds import geometry
 from hermitian_mds.fields import FieldError, FieldTower, factor_prime_power, tower_for_q
 from hermitian_mds.linalg import rank, rref
+
+
+def enumerate_codewords(spec):
+    """All q^3 codewords, one encode per message in iter_messages order: the
+    reference for the counts that code.py reads off the plane sections."""
+    return [cc.encode(spec, m) for m in cc.iter_messages(spec)]
 
 
 @pytest.fixture(scope="module")
@@ -118,22 +129,57 @@ def test_encode_rejects_bad_messages(ref):
 
 def test_codeword_counts(specs):
     for q, expected in [(3, 27), (4, 64), (5, 125)]:
-        words = cc.enumerate_codewords(specs[q])
+        words = enumerate_codewords(specs[q])
         assert len(words) == expected
         assert len(set(words)) == expected
 
 
 def test_encode_injective(specs, ref):
     for spec in (specs[4], specs[7], ref):
-        words = cc.enumerate_codewords(spec)
+        words = enumerate_codewords(spec)
         assert len(set(words)) == spec.tower.q ** 3
 
 
 def test_enumeration_budget(monkeypatch):
+    # one check in iter_messages guards every scan over all of Omega,
+    # pairwise_intersection_count's among them, before its first message
     monkeypatch.setattr(cc, "ENUMERATION_BUDGET", 100)
     spec = cc.construct_code(5)
-    with pytest.raises(ValueError):
-        cc.enumerate_codewords(spec)
+    with pytest.raises(ValueError, match="enumeration budget exceeded for q=5"):
+        next(cc.iter_messages(spec))
+    with pytest.raises(ValueError, match="enumeration budget exceeded for q=5"):
+        cc.pairwise_intersection_count(spec, spec.lam[0], spec.lam[1])
+
+
+def short_arc_q7():
+    # an arc shorter than the bound: the first 5 points of the norm circle
+    spec = cc.construct_code(7)
+    return cc.CodeSpec(spec.tower, spec.lam[:5], spec.s)
+
+
+COUNTED_INSTANCES = {
+    "paper": cc.reference_instance,
+    **{f"q{q}": functools.partial(cc.construct_code, q)
+       for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)},
+    **{f"q{q}-unit-trace": functools.partial(cc.construct_code, q, s_strategy="unit_trace")
+       for q in (3, 5, 7, 9, 11, 13)},
+    **{f"q{q}-greedy": functools.partial(cc.construct_code, q, arc_strategy="greedy")
+       for q in (8, 16)},
+    "q7-first-5": short_arc_q7,
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_INSTANCES)
+def test_plane_counts_match_the_enumeration(name):
+    # weights, distance and zero set are counted from the plane sections;
+    # each must equal what encoding every message gives
+    spec = COUNTED_INSTANCES[name]()
+    words = enumerate_codewords(spec)
+    weights = collections.Counter(sum(map(bool, w)) for w in words)
+    assert cc.weight_distribution(spec, "enumerate") == {i: weights[i] for i in range(spec.N + 1)}
+    assert cc.min_distance(spec) == min(i for i in weights if i)
+    assert cc.common_zero_set(spec) == {
+        m for m, w in zip(cc.iter_messages(spec), words) if not any(w)}
 
 
 def test_generator_matrix_reference_row_space(ref):
@@ -150,7 +196,7 @@ def test_generator_matrix_rank_and_span(specs):
     # every codeword is a row combination (q=4)
     spec = specs[4]
     G = cc.generator_matrix(spec)
-    for w in cc.enumerate_codewords(spec):
+    for w in enumerate_codewords(spec):
         assert rank(spec.tower, G + [w]) == 3
 
 
@@ -173,7 +219,7 @@ def test_zero_pattern_structure(specs):
         spec = specs[q]
         zero_counts = [
             sum(1 for c in w if c == 0)
-            for w in cc.enumerate_codewords(spec) if any(w)
+            for w in enumerate_codewords(spec) if any(w)
         ]
         assert max(zero_counts) == 2
 

@@ -570,6 +570,11 @@ def test_geometric_decode_within_radius_exhaustive_by_symmetry():
         assert seen == count, q
 
 
+def enumerate_codewords(spec):
+    """All q^3 codewords, one encode per message in iter_messages order."""
+    return [cc.encode(spec, m) for m in cc.iter_messages(spec)]
+
+
 def check_sampled_decodes(spec, per_weight, steered, rng):
     # up to t errors the sent codeword, its message and the error positions
     # come back; at t+1 and t+2 errors the result is the ML codeword if one
@@ -599,7 +604,7 @@ def check_sampled_decodes(spec, per_weight, steered, rng):
     # t+1 errors never land within t of another codeword (d = N-2 = 2t+2)
     # and random t+2 errors rarely do, so steer t+2 errors onto a codeword
     # at distance N-2
-    lowest = [c for c in cc.enumerate_codewords(spec) if sum(map(bool, c)) == spec.N - 2]
+    lowest = [c for c in enumerate_codewords(spec) if sum(map(bool, c)) == spec.N - 2]
     for _ in range(steered):
         w = cc.encode(spec, msgs[rng.randrange(len(msgs))])
         near = tuple(F.q_add(a, b) for a, b in zip(w, lowest[rng.randrange(len(lowest))]))
@@ -637,12 +642,12 @@ def test_ml_decode(ref):
     assert msg == (17, 4) and not tie
 
 
-def reference_ml_decode(spec, r):
-    """Nearest codeword by a scan of the q^3 enumerated codewords; ties
+def reference_ml_decode(words, r):
+    """Nearest codeword by a scan of words, the enumerated codewords; ties
     break toward the lexicographically smallest codeword and set the flag."""
-    r = cc.validate_word(spec, r)
-    best_word, best_dist, tie = None, spec.N + 1, False
-    for w in cc.enumerate_codewords(spec):
+    r = tuple(r)
+    best_word, best_dist, tie = None, len(r) + 1, False
+    for w in words:
         d = dec.hamming_distance(w, r)
         if d < best_dist:
             best_word, best_dist, tie = w, d, False
@@ -657,7 +662,7 @@ def test_ml_decode_tie(ref):
     # mix two symbols of two codewords at distance 4: the result is
     # equidistant from both, so the flag is set and the smaller word wins;
     # every such mix with words[1], against the scan
-    words = cc.enumerate_codewords(ref)
+    words = enumerate_codewords(ref)
     w1 = words[1]
     for w2 in (w for w in words if dec.hamming_distance(w, w1) == 4):
         diff = [i for i in range(6) if w1[i] != w2[i]]
@@ -666,7 +671,7 @@ def test_ml_decode_tie(ref):
             assert dec.hamming_distance(r, w1) == dec.hamming_distance(r, w2) == 2
             best, tie = dec.ml_decode(ref, r)
             assert tie
-            assert (best, tie) == reference_ml_decode(ref, r)
+            assert (best, tie) == reference_ml_decode(words, r)
 
 
 def test_ml_decode_matches_the_scan():
@@ -674,10 +679,12 @@ def test_ml_decode_matches_the_scan():
     # uniform and even ones a codeword plus errors at up to N positions
     for q in (3, 4):
         spec = cc.construct_code(q)
+        words = enumerate_codewords(spec)
         for r in itertools.product(range(q), repeat=spec.N):
-            assert dec.ml_decode(spec, r) == reference_ml_decode(spec, r), r
+            assert dec.ml_decode(spec, r) == reference_ml_decode(words, r), r
     for q in (5, 7, 8, 9, 13, 16):
         spec = cc.construct_code(q)
+        words = enumerate_codewords(spec)
         F, N = spec.tower, spec.N
         rng = random.Random(f"ml:{q}")
         for i in range(100):
@@ -687,7 +694,7 @@ def test_ml_decode_matches_the_scan():
                 r = list(cc.encode(spec, (rng.randrange(q * q), spec.s[rng.randrange(q)])))
                 for pos in rng.sample(range(N), rng.randrange(N + 1)):
                     r[pos] = F.q_add(r[pos], rng.randrange(1, q))
-            assert dec.ml_decode(spec, r) == reference_ml_decode(spec, r), (q, r)
+            assert dec.ml_decode(spec, r) == reference_ml_decode(words, r), (q, r)
 
 
 @pytest.mark.parametrize("q", [31, 32])

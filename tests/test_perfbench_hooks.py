@@ -24,6 +24,7 @@ KNOWN_STALE = {
     "decoder.find_external_line",
     "decoder.project_from",
     "decoder.extract_linear_factors",
+    "code.enumerate_codewords",
 }
 
 

@@ -45,8 +45,10 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     (q = 4 to 169) and for the malformed gq of MALFORMED_MODULI: the same
     moduli and digests when it builds, else the exception type and text;
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
-  - stdout, stderr and exit code of a fixed list of CLI invocations,
-    `construct --lambda greedy` at q = 4 and 16 among them, so the greedy
+  - stdout, stderr and exit code of a fixed list of CLI invocations:
+    `weights` at every prime power q <= 49 and on the reference instance,
+    `verify` at q = 4, 8, 13 and 16 and on the reference instance, and
+    `construct --lambda greedy` at q = 4 and 16, so that the greedy
     strategy stays compared where it is no longer the default; also
     `construct` with the default strategies at larger q up to 256, with
     `--lambda norm_circle --norm-c 2` at q = 7 and 16, and with the
@@ -275,14 +277,10 @@ def emit_simulations(cc, dec, out):
         cc.encode = encode
 
 
-CLI_FILES = [
-    ["construct", "--paper-example", "--out", "ref.code"],
-    ["construct", "--q", "2", "--out", "q2.code"],
-    ["construct", "--q", "4", "--out", "q4.code"],
-    ["construct", "--q", "7", "--out", "q7.code"],
-    ["construct", "--q", "8", "--out", "q8.code"],
-    ["construct", "--q", "13", "--out", "q13.code"],
-]
+WEIGHTS_QS = PRIME_POWERS + (17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
+
+CLI_FILES = [["construct", "--paper-example", "--out", "ref.code"]] + [
+    ["construct", "--q", str(q), "--out", f"q{q}.code"] for q in WEIGHTS_QS]
 
 CLI_CASES = (
     [["construct", "--q", str(q)] for q in range(2, 17)]
@@ -308,13 +306,14 @@ CLI_CASES = (
             ("q2.code", "0,1,1,0"),             # the arc covers GF(4)
         )
     ]
+    + [["weights", "--code", "ref.code"]]
+    + [["weights", "--code", f"q{q}.code"] for q in WEIGHTS_QS]
     + [
-        ["weights", "--code", "ref.code"],
-        ["weights", "--code", "q4.code"],
         ["verify", "--code", "ref.code"],
         ["verify", "--code", "q4.code"],
         ["verify", "--code", "q8.code"],
         ["verify", "--code", "q13.code"],
+        ["verify", "--code", "q16.code"],
         ["simulate", "--code", "ref.code", "--errors", "1", "--trials", "30", "--seed", "3"],
         ["simulate", "--code", "ref.code", "--errors", "2", "--trials", "30", "--seed", "3"],
         ["simulate", "--code", "q7.code", "--errors", "3", "--trials", "30", "--seed", "1"],
