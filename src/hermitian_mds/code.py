@@ -13,15 +13,18 @@ coordinate form (form_eval).  With lambda_i = lam_i^1 + eps*lam_i^2 the
 trace term is c1*lam_i^1 + c2*lam_i^2 for c1 = T(x), c2 = T(eps*x), so the
 codeword is the section of the cone over the arc by the plane
 z = c1*x + c2*y + c0, c0 = norm(x) + T(y).  encode computes it that way
-(message_to_plane, then plane_to_codeword).  Every section is a scale and
-a shift of one of q + 1 direction rows, one per point (c1 : c2) of
-PG(1, q), and with q <= 256 a symbol is a byte, so each is one
-bytes.translate.  The resulting code is q-ary, has q^3 words, dimension 3
-and minimum distance N-2; none of that is assumed.  The weights, and with
-them |C| = q^3, the distance and the common zeros, are counted from the
-planes: the codeword of (c1, c2, c0) has weight N - k, k the number of i
-with c1*lam_i^1 + c2*lam_i^2 + c0 = 0, and plane_agreements counts k for
-every c0 of one (c1, c2) in one pass over its section.  `verify` checks
+(message_to_plane, then plane_to_codeword), from per-spec tables built on
+first use.  With q <= 256 a symbol is a byte, so c1, c2 and norm(x) are
+three bytes tables indexed by x, and T(y) a map over S that is also the
+domain check of y; construct and the decoders never build them.  Every
+section is a scale and a shift of one of q + 1 direction rows, one per
+point (c1 : c2) of PG(1, q), so each is one bytes.translate.  The
+resulting code is q-ary, has q^3 words, dimension 3 and minimum distance
+N-2; none of that is assumed.  The weights, and with them |C| = q^3, the
+distance and the common zeros, are counted from the planes: the codeword
+of (c1, c2, c0) has weight N - k, k the number of i with
+c1*lam_i^1 + c2*lam_i^2 + c0 = 0, and plane_agreements counts k for every
+c0 of one (c1, c2) in one pass over its section.  `verify` checks
 every symbol of every codeword against form_eval (literal-form) and counts
 the pairwise zeros over every message, the scans ENUMERATION_BUDGET bounds.
 
@@ -83,7 +86,6 @@ class CodeSpec:
         self.s_by_trace = validate_transversal(tower, self.s)
         self.N = len(self.lam)
         self.coords = [tower.decompose(l) for l in self.lam]
-        self.s_set = frozenset(self.s)
         self.s0 = self.s_by_trace[0]
         g11 = tower.trace(1)
         g12 = tower.trace(tower.eps)
@@ -104,6 +106,18 @@ class CodeSpec:
         rows.append(bytes(l1 for l1, _ in self.coords))
         return rows, [bytes(r) + pad for r in mul], [bytes(r) + pad for r in add]
 
+    @functools.cached_property
+    def _message_tables(self):
+        """c1, c2 and norm(x) for every x = x0 + q*x1 in GF(q^2), as bytes
+        indexed by x, with (c1, c2) = gram (x0, x1); and the map y -> T(y)
+        over S, the domain of y."""
+        F = self.tower
+        mul, shift = F.q_mul_table, self._directions[2]
+        # row x1 of a*x0 + b*x1: the product row of a shifted by b*x1
+        c1, c2 = (b"".join(map(bytes(mul[a]).translate, [shift[k] for k in mul[b]]))
+                  for a, b in self.gram)
+        return c1, c2, F.norm_bytes(), {y: t for t, y in self.s_by_trace.items()}
+
     def __eq__(self, other):
         if not isinstance(other, CodeSpec):
             return NotImplemented
@@ -111,13 +125,6 @@ class CodeSpec:
 
     def __repr__(self):
         return f"CodeSpec(q={self.tower.q}, N={self.N})"
-
-
-def validate_message(spec: CodeSpec, m):
-    x, y = m
-    if not 0 <= x < spec.tower.q2 or y not in spec.s_set:
-        raise ValueError(f"message {m} outside the domain GF(q^2) x S")
-    return x, y
 
 
 def validate_word(spec: CodeSpec, r):
@@ -134,7 +141,8 @@ def validate_word(spec: CodeSpec, r):
 # ---------------------------------------------------------------------------
 
 def _pair(F, matrix, u, v):
-    """matrix times the column (u, v) over GF(q); matrix is gram or gram_inv."""
+    """matrix times the column (u, v) over GF(q): gram_inv for
+    plane_to_message (the message tables hold gram's for every x)."""
     add, mul = F.q_add_table, F.q_mul_table
     (a, b), (c, d) = matrix
     return add[mul[a][u]][mul[b][v]], add[mul[c][u]][mul[d][v]]
@@ -142,10 +150,13 @@ def _pair(F, matrix, u, v):
 
 def message_to_plane(spec: CodeSpec, m):
     """(c1, c2, c0) of the plane z = c1*x + c2*y + c0*t carrying encode(m):
-    (c1, c2) = (T(x), T(eps*x)) = gram (x0, x1), c0 = norm(x) + T(y)."""
-    F = spec.tower
-    x, y = validate_message(spec, m)
-    return (*_pair(F, spec.gram, x % F.q, x // F.q), F.q_add_table[F.norm(x)][F.trace(y)])
+    (c1, c2) = (T(x), T(eps*x)) = gram (x0, x1), c0 = norm(x) + T(y), each
+    read off the spec's message tables."""
+    x, y = m
+    c1, c2, norm, trace_of = spec._message_tables
+    if not 0 <= x < len(norm) or y not in trace_of:
+        raise ValueError(f"message {m} outside the domain GF(q^2) x S")
+    return c1[x], c2[x], spec.tower.q_add_table[norm[x]][trace_of[y]]
 
 
 def plane_to_message(spec: CodeSpec, plane):

@@ -87,12 +87,6 @@ from .code import (
 from .linalg import rank
 
 
-def hamming_distance(a, b) -> int:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
 # ---------------------------------------------------------------------------
 # lifting and projecting
 # ---------------------------------------------------------------------------

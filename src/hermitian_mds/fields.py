@@ -33,11 +33,13 @@ One formula serves every quadratic question: the list of x*(x + c1) over
 x in GF(q).  X^2 + c1*X + c0 has a root iff -c0 is in it, so the default
 gq2 (the first rootless monic quadratic in encoding order c0 + q*c1) costs
 one list per c1; and since the norm is x0*(x0 + r1*x1) - r0*x1^2,
-norm_circle reads each of its rows x1 off one such list instead of
-evaluating the norm per element.
+norm_circle and norm_bytes (the norm of every element, as bytes) read
+each of their rows x1 off one such list instead of evaluating the norm per
+element.
 """
 
 import math
+from operator import getitem
 
 
 class FieldError(ValueError):
@@ -189,8 +191,8 @@ class FieldTower:
 
     def _quadratic_values(self, c1):
         """x*(x + c1) = x^2 + c1*x for every x in GF(q), indexed by x."""
-        add, mul = self.q_add_table, self.q_mul_table
-        return [mul[x][add[x][c1]] for x in range(self.q)]
+        # x + c1 over x is the sum row of c1
+        return list(map(getitem, self.q_mul_table, self.q_add_table[c1]))
 
     def _quadratic_has_root(self, g) -> bool:
         c0, c1, _ = g
@@ -293,18 +295,31 @@ class FieldTower:
         u0, u1 = u % q, u // q
         return add[mul[u0][add[u0][mul[self._r1][u1]]]][neg[mul[self._r0][mul[u1][u1]]]]
 
+    def _norm_rows(self):
+        """For each x1 in GF(q), in order: the list of x0*(x0 + r1*x1) over
+        x0, and r0*x1^2.  norm(x0 + eps*x1) is the first less the second."""
+        mul = self.q_mul_table
+        for x1 in range(self.q):
+            yield self._quadratic_values(mul[self._r1][x1]), mul[self._r0][mul[x1][x1]]
+
     def norm_circle(self, c: int):
         """All u with norm(u) = c, ascending: by norm's quadratic form, for
         each x1 the circle's x0 are the roots of x0*(x0 + r1*x1) = c + r0*x1^2.
         """
-        q, add, mul = self.q, self.q_add_table, self.q_mul_table
-        r0, r1 = self._r0, self._r1
+        q, add = self.q, self.q_add_table
         out = []
-        for x1 in range(q):
-            target = add[c][mul[r0][mul[x1][x1]]]
-            values = self._quadratic_values(mul[r1][x1])
+        for x1, (values, r0x1x1) in enumerate(self._norm_rows()):
+            target = add[c][r0x1x1]
             out.extend(x0 + q * x1 for x0 in range(q) if values[x0] == target)
         return out
+
+    def norm_bytes(self) -> bytes:
+        """norm(u) for every u in GF(q^2), as bytes indexed by u (a symbol is
+        a byte, as q <= 256): row x1 is x0*(x0 + r1*x1) less r0*x1^2, one
+        translate by the sum row of -r0*x1^2."""
+        add, neg, pad = self.q_add_table, self.q_neg_table, bytes(256 - self.q)
+        return b"".join(bytes(values).translate(bytes(add[neg[r0x1x1]]) + pad)
+                        for values, r0x1x1 in self._norm_rows())
 
     # -- misc ------------------------------------------------------------------
 

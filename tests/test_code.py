@@ -127,6 +127,29 @@ def test_encode_rejects_bad_messages(ref):
         cc.encode(ref, (25, 0))  # x outside GF(25)
 
 
+def test_message_tables_are_the_field_forms():
+    # at every supported q: the pairing tables are T(x) and T(eps*x), the
+    # norm table is F.norm, the S -> trace map is F.trace on S, and the
+    # tables bound the domain as the error text says
+    for q in range(2, 257):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        spec = cc.construct_code(q)
+        F = spec.tower
+        c1, c2, norm, trace_of = spec._message_tables
+        assert list(c1) == [F.trace(x) for x in range(F.q2)], q
+        assert list(c2) == [F.trace(F.mul(F.eps, x)) for x in range(F.q2)], q
+        assert list(norm) == [F.norm(x) for x in range(F.q2)], q
+        assert trace_of == {y: F.trace(y) for y in spec.s}, q
+        bad_y = next(y for y in range(F.q2) if y not in spec.s)
+        for m in ((-1, spec.s0), (F.q2, spec.s0), (1, bad_y)):
+            with pytest.raises(ValueError) as err:
+                cc.encode(spec, m)
+            assert str(err.value) == f"message {m} outside the domain GF(q^2) x S", (q, m)
+
+
 def test_codeword_counts(specs):
     for q, expected in [(3, 27), (4, 64), (5, 125)]:
         words = enumerate_codewords(specs[q])

@@ -23,6 +23,12 @@ from hermitian_mds.fields import tower_for_q
 from hermitian_mds.geometry import build_lambda
 
 
+def hamming_distance(a, b) -> int:
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    return sum(1 for x, y in zip(a, b) if x != y)
+
+
 def form_value(F, form, pt):
     """Value of a sparse form {(i, j, k): coefficient} at a point (x, y, z)."""
     x, y, z = pt
@@ -78,15 +84,15 @@ def spec7():
 
 
 def test_hamming_distance():
-    assert dec.hamming_distance((1, 1, 1), (1, 1, 1)) == 0
-    assert dec.hamming_distance((1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 0)) == 1
+    assert hamming_distance((1, 1, 1), (1, 1, 1)) == 0
+    assert hamming_distance((1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 0)) == 1
     with pytest.raises(ValueError):
-        dec.hamming_distance((1, 2), (1, 2, 3))
+        hamming_distance((1, 2), (1, 2, 3))
     rng = random.Random(5)
     for _ in range(100):
         a, b, c = (tuple(rng.randrange(5) for _ in range(6)) for _ in range(3))
-        assert dec.hamming_distance(a, c) <= (
-            dec.hamming_distance(a, b) + dec.hamming_distance(b, c)
+        assert hamming_distance(a, c) <= (
+            hamming_distance(a, b) + hamming_distance(b, c)
         )
 
 
@@ -393,10 +399,10 @@ def test_geometric_decode_soundness_beyond_radius(ref):
         r = tuple(rng.randrange(5) for _ in range(6))
         ml_word, _ = dec.ml_decode(ref, r)
         res = dec.geometric_decode(ref, r)
-        if dec.hamming_distance(ml_word, r) <= radius:
+        if hamming_distance(ml_word, r) <= radius:
             assert res is not None and res.codeword == ml_word
         elif res is not None:
-            assert dec.hamming_distance(res.codeword, r) <= radius
+            assert hamming_distance(res.codeword, r) <= radius
 
 
 def test_geometric_decode_exhaustive_q4():
@@ -410,7 +416,7 @@ def test_geometric_decode_exhaustive_q4():
     for r in itertools.product(range(4), repeat=6):
         best, _tie = dec.ml_decode(spec, r)
         res = dec.geometric_decode(spec, r)
-        if dec.hamming_distance(best, r) <= radius:
+        if hamming_distance(best, r) <= radius:
             within += 1
             assert res is not None
             assert res.codeword == best
@@ -432,10 +438,10 @@ def check_exhaustive_against_ml(spec):
     for r in itertools.product(range(q), repeat=N):
         best, _tie = dec.ml_decode(spec, r)
         res = dec.geometric_decode(spec, r)
-        if dec.hamming_distance(best, r) <= t:
+        if hamming_distance(best, r) <= t:
             assert res is not None and res.codeword == best, r
         elif res is not None:
-            assert dec.hamming_distance(res.codeword, r) <= t, r
+            assert hamming_distance(res.codeword, r) <= t, r
 
 
 def test_geometric_decode_exhaustive_n5():
@@ -452,7 +458,7 @@ def test_geometric_decode_pinned_n9():
     spec = cc.construct_code(9, "explicit", arc_values=[1, 2, 13, 17, 26, 41, 43, 77, 79])
     r = (3, 8, 7, 5, 4, 2, 1, 1, 6)
     best, tie = dec.ml_decode(spec, r)
-    assert dec.hamming_distance(best, r) == 3 == (spec.N - 3) // 2 and not tie
+    assert hamming_distance(best, r) == 3 == (spec.N - 3) // 2 and not tie
     res = dec.geometric_decode(spec, r)
     assert res is not None and res.codeword == best
     assert res.corrected_positions == (3, 5, 8)
@@ -479,7 +485,7 @@ def test_geometric_decode_result_invariants(ref, spec7):
             r[i] = F.q_add(r[i], rng.randrange(1, F.q))
             res = dec.geometric_decode(spec, tuple(r))
             assert res is not None
-            assert len(res.corrected_positions) == dec.hamming_distance(res.codeword, r)
+            assert len(res.corrected_positions) == hamming_distance(res.codeword, r)
             assert res.codeword == cc.encode(spec, res.message)
             assert res.factor[2] != 0  # never through the vertex direction
 
@@ -596,7 +602,7 @@ def check_sampled_decodes(spec, per_weight, steered, rng):
                 assert (res.codeword, res.message, res.corrected_positions) == (w, m, errors)
                 continue
             best, _tie = dec.ml_decode(spec, r)
-            if dec.hamming_distance(best, r) <= t:
+            if hamming_distance(best, r) <= t:
                 assert res is not None and res.codeword == best
                 assert cc.encode(spec, res.message) == best
             else:
@@ -648,7 +654,7 @@ def reference_ml_decode(words, r):
     r = tuple(r)
     best_word, best_dist, tie = None, len(r) + 1, False
     for w in words:
-        d = dec.hamming_distance(w, r)
+        d = hamming_distance(w, r)
         if d < best_dist:
             best_word, best_dist, tie = w, d, False
         elif d == best_dist:
@@ -664,11 +670,11 @@ def test_ml_decode_tie(ref):
     # every such mix with words[1], against the scan
     words = enumerate_codewords(ref)
     w1 = words[1]
-    for w2 in (w for w in words if dec.hamming_distance(w, w1) == 4):
+    for w2 in (w for w in words if hamming_distance(w, w1) == 4):
         diff = [i for i in range(6) if w1[i] != w2[i]]
         for mixed in itertools.combinations(diff, 2):
             r = tuple(w2[i] if i in mixed else c for i, c in enumerate(w1))
-            assert dec.hamming_distance(r, w1) == dec.hamming_distance(r, w2) == 2
+            assert hamming_distance(r, w1) == hamming_distance(r, w2) == 2
             best, tie = dec.ml_decode(ref, r)
             assert tie
             assert (best, tie) == reference_ml_decode(words, r)
@@ -725,7 +731,7 @@ def test_geometric_decode_agrees_with_ml_at_large_q(q):
         if i % 4 != 2:
             assert best == (near if i % 4 == 3 else sent)
         res = dec.geometric_decode(spec, r)
-        if dec.hamming_distance(best, r) <= t:
+        if hamming_distance(best, r) <= t:
             within += 1
             assert res is not None and res.codeword == best
         else:

@@ -32,6 +32,8 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     reference instance, and on 500 messages each at q = 49, 128, 243, 251
     and 256 drawn from random.Random("encode:<q>"); on the same seeded
     messages also message_to_plane and plane_to_message of that plane;
+    at q = 4, 49 and 256 the exception type and text of encode for
+    x = -1, x = q^2, a y outside S and a 3-tuple;
   - msg_add on every message pair and msg_scale on every (kappa, message)
     at q = 4 and 5, and on 500 pairs and 500 (kappa, message) each at
     q = 7, 8, 9, 13, 16, 49, 128, 243, 251, 256 drawn from
@@ -165,6 +167,11 @@ def emit_encodes(cc, dec, out):
             out(f"message plane q={q} m={m}", lambda: (
                 cc.message_to_plane(spec, m),
                 cc.plane_to_message(spec, cc.message_to_plane(spec, m))))
+    for q in (4, 49, 256):
+        spec = cc.construct_code(q)
+        bad_y = next(y for y in range(q * q) if y not in spec.s)
+        for m in ((-1, spec.s0), (q * q, spec.s0), (1, bad_y), (1, spec.s0, 0)):
+            out(f"encode q={q} bad m={m}", cc.encode, spec, m)
 
 
 def emit_message_algebra(cc, dec, out):
