@@ -149,15 +149,14 @@ class FieldTower:
     def _build_add_tables(self):
         p, h = self.p, self.h
         # sums digit by digit: a = a0 + p*a' adds as (a0 + b0) % p + p*(a' + b');
-        # row a of GF(p) is 0..p-1 rotated left by a
+        # row a of GF(p) is 0..p-1 rotated left by a.  In encoding order a'
+        # runs outer and a0 inner (and so do b' and b0), so row a0 + p*a' is
+        # the GF(p) row of a0 widened by p times the row of a'
         digits = list(range(p))
         base = add = [digits[a:] + digits[:a] for a in range(p)]
         for _ in range(h - 1):
-            prev, size = add, len(add) * p
-            add = []
-            for a in range(size):
-                lo, hi = base[a % p], prev[a // p]
-                add.append([lo[b % p] + p * hi[b // p] for b in range(size)])
+            add = [[x + y for y in shifted for x in lo]
+                   for shifted in [[p * v for v in hi] for hi in add] for lo in base]
         self.q_add_table = add
         self.q_neg_table = [row.index(0) for row in add]
 

@@ -14,7 +14,7 @@ import pytest
 
 from hermitian_mds import code as cc
 from hermitian_mds import decoder as dec
-from hermitian_mds.cli import SimulationReport, main, run_simulation
+from hermitian_mds.cli import SimulationReport, build_parser, main, run_simulation
 
 REFERENCE_TEXT = (
     "hermitian-mds v1\n"
@@ -135,6 +135,37 @@ def test_construct_explicit_lambda_rejected(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: arc condition fails\n"
+
+
+def test_construct_out_unwritable_path(tmp_path, capsys):
+    # a directory that does not exist: one error line, no traceback
+    path = tmp_path / "missing" / "x.code"
+    assert main(["construct", "--q", "5", "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not path.parent.exists()
+
+
+def test_parser_is_built_once_and_reused(ref_path, capsys):
+    # main reuses one parser per process; no call may see another's options
+    assert build_parser() is build_parser()
+    word = ["decode", "--code", ref_path, "--word", "1,1,1,1,1,2"]
+    assert main([*word, "--method", "ml"]) == 0
+    assert capsys.readouterr().out == (
+        "codeword=1,1,1,1,1,1\nmessage=0,3\ncorrected=5\ntie=no\n")
+    assert main(word) == 0  # the geometric default again, so no tie= line
+    assert capsys.readouterr().out == (
+        "codeword=1,1,1,1,1,1\nmessage=0,3\ncorrected=5\n")
+    assert main(["decode", "--word", "1,1,1,1,1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hermitian-mds decode ")
+    assert captured.err.endswith(
+        "hermitian-mds decode: error: the following arguments are required: --code\n")
+    assert main(["construct", "--paper-example"]) == 0
+    assert capsys.readouterr().out == REFERENCE_TEXT
 
 
 def test_encode_reference_example(ref_path, capsys):
