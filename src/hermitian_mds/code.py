@@ -12,15 +12,17 @@ X^{q+1} + Y^q Z + Y Z^q + lambda^q X^q Z + lambda X Z^q, the paper's
 coordinate form (form_eval).  With lambda_i = lam_i^1 + eps*lam_i^2 the
 trace term is c1*lam_i^1 + c2*lam_i^2 for c1 = T(x), c2 = T(eps*x), so the
 codeword is the section of the cone over the arc by the plane
-z = c1*x + c2*y + c0, c0 = norm(x) + T(y).  encode computes it that way
-(message_to_plane, then plane_to_codeword), from per-spec tables built on
-first use.  With q <= 256 a symbol is a byte, so c1, c2 and norm(x) are
-three bytes tables indexed by x, and T(y) a map over S that is also the
-domain check of y; construct and the decoders never build them.  Every
-section is a scale and a shift of one of q + 1 direction rows, one per
-point (c1 : c2) of PG(1, q), so each is one bytes.translate.  The
-resulting code is q-ary, has q^3 words, dimension 3 and minimum distance
-N-2; none of that is assumed.  The weights, and with them |C| = q^3, the
+z = c1*x + c2*y + c0, c0 = norm(x) + T(y).  Every section is a scale and
+a shift of one of q + 1 direction rows, one per point (c1 : c2) of
+PG(1, q); with q <= 256 a symbol is a byte, so each is a bytes.translate.
+encode reads it off a per-spec table built on its first call: for each x
+the direction row and scale table of (T(x), T(eps*x)) and norm(x), and
+for each y in S the shift tables of norm + T(y), a map that is also the
+domain check of y.  So an encode is two translates; construct, the
+decoders and the plane loop never build that table.  message_to_plane
+computes the same plane from the definitions, as plane_to_message
+inverts it.  The resulting code is q-ary, has q^3 words, dimension 3 and
+minimum distance N-2; none of that is assumed.  The weights, and with them |C| = q^3, the
 distance and the common zeros, are counted from the planes: the codeword
 of (c1, c2, c0) has weight N - k, k the number of i with
 c1*lam_i^1 + c2*lam_i^2 + c0 = 0, and plane_agreements counts k for every
@@ -77,6 +79,12 @@ class CodeSpec:
     eps^2 = r0 + r1*eps, det G = r1^2 + 4*r0, the discriminant of gq2, which
     is nonzero for every irreducible gq2 (in characteristic 2 that needs
     r1 != 0); were it ever zero, q_inv would raise here.
+
+    Two tables are built on first use.  _directions, the direction row and
+    the scale of each (c1 : c2), serves every plane section.  _encode_table
+    serves encode alone: per x the row and scale of its plane and norm(x),
+    per y in S the shift tables of norm + T(y); about 1.5 MB at q=256, so
+    construct and the decoders never build it.
     """
 
     def __init__(self, tower: FieldTower, lam, s):
@@ -97,26 +105,39 @@ class CodeSpec:
 
     @functools.cached_property
     def _directions(self):
-        """rows[t]: bytes of the section of z = t*x + y (t in GF(q)), rows[q]
-        that of z = x; scale and shift: the GF(q) product and sum rows as
-        256-byte translate tables, zero past q."""
+        """row[c1][c2] and scale[c2]: the section of z = c1*x + c2*y + c0 is
+        row[c1][c2].translate(scale[c2]).translate(shift[c0]).  With c2 != 0
+        the plane is c2 times z = t*x + y, t = c1/c2, so the row is that
+        section and scale[c2] the GF(q) product row of c2; with c2 = 0 the
+        row is the section of z = c1*x itself and scale[0] the identity.
+        scale and shift (the GF(q) sum rows) are 256-byte translate tables,
+        zero past q."""
         F, pad = self.tower, bytes(256 - self.tower.q)
         add, mul = F.q_add_table, F.q_mul_table
+        prod = [bytes(r) + pad for r in mul]
         rows = [bytes(add[mul[t][l1]][l2] for l1, l2 in self.coords) for t in range(F.q)]
-        rows.append(bytes(l1 for l1, _ in self.coords))
-        return rows, [bytes(r) + pad for r in mul], [bytes(r) + pad for r in add]
+        x_row, inv = bytes(l1 for l1, _ in self.coords), bytes(F.q_inv_table[1:])
+        # row[c1][c2] for c2 = 1..q-1 is rows[c1 * inv(c2)]
+        row = [[x_row.translate(p), *map(rows.__getitem__, inv.translate(p))] for p in prod]
+        return row, [bytes(range(256)), *prod[1:]], [bytes(r) + pad for r in add]
 
     @functools.cached_property
-    def _message_tables(self):
-        """c1, c2 and norm(x) for every x = x0 + q*x1 in GF(q^2), as bytes
-        indexed by x, with (c1, c2) = gram (x0, x1); and the map y -> T(y)
-        over S, the domain of y."""
+    def _encode_table(self):
+        """For every x = x0 + q*x1 in GF(q^2), indexed by x: the direction
+        row and the scale table of (c1 : c2) = (T(x), T(eps*x)) = gram (x0, x1),
+        and norm(x) as bytes.  For every y in S: the shift tables of n + T(y),
+        indexed by n = norm(x); this map is also the domain of y."""
         F = self.tower
-        mul, shift = F.q_mul_table, self._directions[2]
+        row, scale, shift = self._directions
+        mul = F.q_mul_table
         # row x1 of a*x0 + b*x1: the product row of a shifted by b*x1
         c1, c2 = (b"".join(map(bytes(mul[a]).translate, [shift[k] for k in mul[b]]))
                   for a, b in self.gram)
-        return c1, c2, F.norm_bytes(), {y: t for t, y in self.s_by_trace.items()}
+        return (list(map(getitem, map(row.__getitem__, c1), c2)),
+                list(map(scale.__getitem__, c2)),
+                F.norm_bytes(),
+                {y: list(map(shift.__getitem__, F.q_add_table[t]))
+                 for t, y in self.s_by_trace.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CodeSpec):
@@ -141,22 +162,25 @@ def validate_word(spec: CodeSpec, r):
 # ---------------------------------------------------------------------------
 
 def _pair(F, matrix, u, v):
-    """matrix times the column (u, v) over GF(q): gram_inv for
-    plane_to_message (the message tables hold gram's for every x)."""
+    """matrix times the column (u, v) over GF(q): gram for message_to_plane,
+    gram_inv for plane_to_message."""
     add, mul = F.q_add_table, F.q_mul_table
     (a, b), (c, d) = matrix
     return add[mul[a][u]][mul[b][v]], add[mul[c][u]][mul[d][v]]
 
 
+def _outside_domain(m):
+    return ValueError(f"message {m} outside the domain GF(q^2) x S")
+
+
 def message_to_plane(spec: CodeSpec, m):
     """(c1, c2, c0) of the plane z = c1*x + c2*y + c0*t carrying encode(m):
-    (c1, c2) = (T(x), T(eps*x)) = gram (x0, x1), c0 = norm(x) + T(y), each
-    read off the spec's message tables."""
+    (c1, c2) = (T(x), T(eps*x)) = gram (x0, x1), c0 = norm(x) + T(y)."""
     x, y = m
-    c1, c2, norm, trace_of = spec._message_tables
-    if not 0 <= x < len(norm) or y not in trace_of:
-        raise ValueError(f"message {m} outside the domain GF(q^2) x S")
-    return c1[x], c2[x], spec.tower.q_add_table[norm[x]][trace_of[y]]
+    F = spec.tower
+    if not 0 <= x < F.q2 or y not in spec.s:
+        raise _outside_domain(m)
+    return (*_pair(F, spec.gram, *F.decompose(x)), F.q_add(F.norm(x), F.trace(y)))
 
 
 def plane_to_message(spec: CodeSpec, plane):
@@ -170,15 +194,11 @@ def plane_to_message(spec: CodeSpec, plane):
 
 
 def plane_to_codeword(spec: CodeSpec, plane):
-    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0, the plane's cone section: that
-    is c2*(t*lam_i^1 + lam_i^2) + c0 with t = c1/c2 when c2 != 0, and
-    c1*lam_i^1 + c0 when c2 = 0, so the direction row of (c1 : c2), scaled
-    by c2 (or c1) and shifted by c0."""
-    F = spec.tower
+    """Symbols c1*lam_i^1 + c2*lam_i^2 + c0, the plane's cone section: the
+    direction row of (c1 : c2), scaled and shifted by c0."""
     c1, c2, c0 = plane
-    rows, scale, shift = spec._directions
-    row, s = (rows[F.q_mul_table[c1][F.q_inv_table[c2]]], c2) if c2 else (rows[F.q], c1)
-    return tuple(row.translate(scale[s]).translate(shift[c0]))
+    row, scale, shift = spec._directions
+    return tuple(row[c1][c2].translate(scale[c2]).translate(shift[c0]))
 
 
 def codeword_to_plane(spec: CodeSpec, w):
@@ -222,9 +242,14 @@ def form_eval(spec: CodeSpec, lam_val: int, x: int, y: int) -> int:
 
 def encode(spec: CodeSpec, m) -> tuple:
     """Codeword of m = (x, y): the section of the cone over the arc by the
-    plane of m, one symbol per arc element.  Symbol i equals
-    form_eval(spec, lam_i, x, y), the Hermitian form at (x, y, 1)."""
-    return plane_to_codeword(spec, message_to_plane(spec, m))
+    plane of m, one symbol per arc element, read off the spec's encode
+    table.  Symbol i equals form_eval(spec, lam_i, x, y), the Hermitian
+    form at (x, y, 1)."""
+    x, y = m
+    rows, scales, norm, shifts = spec._encode_table
+    if not 0 <= x < len(norm) or y not in shifts:
+        raise _outside_domain(m)
+    return tuple(rows[x].translate(scales[x]).translate(shifts[y][norm[x]]))
 
 
 def iter_messages(spec: CodeSpec):

@@ -79,6 +79,9 @@ def validate_arc(F, lam):
     return lam
 
 
+GREEDY_MAX_Q = 16  # past it the greedy search never reaches the size bound
+
+
 def _greedy_arc(F, target, node_budget=500_000):
     """Depth-first extension in integer-encoding order with backtracking.
 
@@ -144,7 +147,10 @@ def build_lambda(F, strategy, values=None, c=1):
     whose tangents all meet at its nucleus 0, so the two together are a
     (q+2)-arc, the size bound (Hirschfeld, Projective Geometries over
     Finite Fields, ch. 8).
-    strategy 'greedy': backtracking search targeting the size bound.
+    strategy 'greedy' (q <= GREEDY_MAX_Q only): backtracking search
+    targeting the size bound, which it reaches at every q <= 16.  Past
+    that its node budget runs out on a shorter arc (66 of 258 points after
+    minutes at q=256) that an explicit list gives at once, so it is refused.
     Only explicit values are checked here; the structural strategies are
     arcs by construction, and CodeSpec is the gate that validates every
     arc it is given.
@@ -162,10 +168,9 @@ def build_lambda(F, strategy, values=None, c=1):
             raise ValueError("a hyperoval needs even q")
         return [0] + F.norm_circle(1)
     if strategy == "greedy":
-        lam = _greedy_arc(F, arc_size_bound(F))
-        if len(lam) < 3:
-            raise ValueError("greedy search found no arc of size >= 3")
-        return lam
+        if F.q > GREEDY_MAX_Q:
+            raise ValueError(f"greedy arc search supports q <= {GREEDY_MAX_Q} only, not q={F.q}")
+        return _greedy_arc(F, arc_size_bound(F))
     raise ValueError(f"unknown arc strategy {strategy!r}")
 
 

@@ -97,6 +97,17 @@ def test_construct_greedy_unit_trace(capsys):
     assert spec.N == 6  # q + 2 at even q
 
 
+def test_construct_greedy_refused_past_q16(capsys):
+    # the greedy search is bounded to q <= 16: past it, exit 1 at once
+    for q in (17, 256):
+        t0 = time.perf_counter()
+        assert main(["construct", "--q", str(q), "--lambda", "greedy"]) == 1
+        assert time.perf_counter() - t0 < 1.0, q
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: greedy arc search supports q <= 16 only, not q={q}\n"
+
+
 def test_construct_even_q_hyperoval_default(capsys):
     # the default even-q arc is the hyperoval, q+2 points; at q=2 and q=8 it
     # is the arc the greedy search finds, so those files are unchanged

@@ -128,9 +128,11 @@ def test_encode_rejects_bad_messages(ref):
 
 
 def test_message_tables_are_the_field_forms():
-    # at every supported q: the pairing tables are T(x) and T(eps*x), the
-    # norm table is F.norm, the S -> trace map is F.trace on S, and the
-    # tables bound the domain as the error text says
+    # at every supported q: for every x the encode table holds the direction
+    # row and scale of (T(x), T(eps*x)) and the norm F.norm(x); for y in S
+    # the shift tables of n + T(y); encode agrees with the plane that
+    # message_to_plane computes from the definitions; and the tables bound
+    # the domain as the error text says
     for q in range(2, 257):
         try:
             factor_prime_power(q)
@@ -138,16 +140,24 @@ def test_message_tables_are_the_field_forms():
             continue
         spec = cc.construct_code(q)
         F = spec.tower
-        c1, c2, norm, trace_of = spec._message_tables
-        assert list(c1) == [F.trace(x) for x in range(F.q2)], q
-        assert list(c2) == [F.trace(F.mul(F.eps, x)) for x in range(F.q2)], q
+        rows, scales, norm, shifts = spec._encode_table
+        row, scale, shift = spec._directions
+        planes = [(F.trace(x), F.trace(F.mul(F.eps, x))) for x in range(F.q2)]
+        assert rows == [row[c1][c2] for c1, c2 in planes], q
+        assert scales == [scale[c2] for _c1, c2 in planes], q
         assert list(norm) == [F.norm(x) for x in range(F.q2)], q
-        assert trace_of == {y: F.trace(y) for y in spec.s}, q
+        assert shifts == {y: [shift[F.q_add(n, F.trace(y))] for n in range(q)]
+                          for y in spec.s}, q
+        rng = random.Random(f"tables:{q}")
+        for m in [(0, spec.s0), (F.q2 - 1, spec.s[-1])] + [
+                (rng.randrange(F.q2), rng.choice(spec.s)) for _ in range(10)]:
+            assert cc.encode(spec, m) == cc.plane_to_codeword(spec, cc.message_to_plane(spec, m)), (q, m)
         bad_y = next(y for y in range(F.q2) if y not in spec.s)
         for m in ((-1, spec.s0), (F.q2, spec.s0), (1, bad_y)):
-            with pytest.raises(ValueError) as err:
-                cc.encode(spec, m)
-            assert str(err.value) == f"message {m} outside the domain GF(q^2) x S", (q, m)
+            for f in (cc.encode, cc.message_to_plane):
+                with pytest.raises(ValueError) as err:
+                    f(spec, m)
+                assert str(err.value) == f"message {m} outside the domain GF(q^2) x S", (q, m)
 
 
 def test_codeword_counts(specs):

@@ -640,6 +640,36 @@ def test_geometric_decode_sampled_q16():
     check_sampled_decodes(spec, per_weight=20, steered=10, rng=random.Random(16))
 
 
+def test_geometric_decode_on_the_non_conic_q16_arc():
+    # the greedy q=16 arc is a hyperoval but not a conic plus a point
+    # (tests/test_geometry.py), so its code is no extended Reed-Solomon
+    # code; the paper's decoder needs only an arc.  On 100 seeded words,
+    # odd ones uniform and even ones a codeword plus 0..t+2 errors, it
+    # returns ML's codeword when that lies within t of the word, and FAIL
+    # otherwise
+    spec = cc.construct_code(16, "greedy")
+    F, N, t = spec.tower, spec.N, (spec.N - 3) // 2
+    assert (N, t) == (18, 7)
+    rng = random.Random("non-conic:16")
+    decoded = 0
+    for i in range(100):
+        if i % 2:
+            r = tuple(rng.randrange(16) for _ in range(N))
+        else:
+            r = list(cc.encode(spec, (rng.randrange(256), rng.choice(spec.s))))
+            for pos in rng.sample(range(N), rng.randrange(t + 3)):
+                r[pos] = F.q_add(r[pos], rng.randrange(1, 16))
+            r = tuple(r)
+        best, _tie = dec.ml_decode(spec, r)
+        res = dec.geometric_decode(spec, r)
+        if hamming_distance(best, r) <= t:
+            assert res is not None and res.codeword == best, r
+            decoded += 1
+        else:
+            assert res is None, r
+    assert decoded == 40  # the other 60 words FAIL
+
+
 def test_ml_decode(ref):
     for m in [(0, 0), (3, 1), (17, 4)]:
         w = cc.encode(ref, m)

@@ -9,7 +9,8 @@ at q=3 and q=4 and on seeded subsets up to the size bound beyond.  The
 greedy arc search, which tracks secant lines incrementally, is checked
 against the same depth-first search written with arc_condition_holds.  The
 hyperoval (unit circle plus 0) is checked for size q+2 at every even
-q <= 128.  build_lambda validates only explicit values (CodeSpec is the
+q <= 128; the greedy q=16 hyperoval is checked to be no conic plus a
+point, against the default one, which is.  build_lambda validates only explicit values (CodeSpec is the
 gate), so every arc these tests build is checked with arc_condition_holds.
 """
 
@@ -30,6 +31,7 @@ from hermitian_mds.geometry import (
     validate_arc,
     validate_transversal,
 )
+from hermitian_mds.linalg import rank
 
 REFERENCE_LAMBDA = [23, 12, 11, 7, 18, 19]  # eps^3, eps^4, eps^8, eps^15, eps^16, eps^20
 
@@ -220,6 +222,28 @@ def test_greedy_arc_matches_reference_search():
         for budget in (0, 1, 2, 3, 50, 1000):
             assert (_greedy_arc(F, target, node_budget=budget)
                     == reference_greedy(F, target, budget))
+
+
+def conic_rank(F, pts):
+    """Rank over GF(q) of the conic monomials (x0^2, x0*x1, x1^2, x0, x1, 1)
+    at the (x0, x1) points: 6 exactly when no conic passes through them."""
+    mul = F.q_mul
+    return rank(F, [(mul(a, a), mul(a, b), mul(b, b), a, b, 1) for a, b in pts])
+
+
+def test_greedy_q16_arc_is_not_a_conic_plus_a_point():
+    # Dropping any one of the greedy arc's 18 points leaves 17 on no conic,
+    # so the arc is a hyperoval but not a conic plus its nucleus (the
+    # Lunelli-Sce hyperoval, up to equivalence the one irregular hyperoval
+    # of PG(2,16)).  The control: the default hyperoval less its nucleus 0
+    # is the unit circle, a conic, and with 0 kept no conic holds the
+    # other 17.
+    F = tower_for_q(16)
+    greedy = [F.decompose(u) for u in build_lambda(F, "greedy")]
+    assert [conic_rank(F, greedy[:i] + greedy[i + 1:]) for i in range(18)] == [6] * 18
+    regular = [F.decompose(u) for u in build_lambda(F, "hyperoval")]
+    assert regular[0] == (0, 0)
+    assert [conic_rank(F, regular[:i] + regular[i + 1:]) for i in range(18)] == [5] + [6] * 17
 
 
 def test_build_lambda_unknown_strategy(f5p):

@@ -32,6 +32,9 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     reference instance, and on 500 messages each at q = 49, 128, 243, 251
     and 256 drawn from random.Random("encode:<q>"); on the same seeded
     messages also message_to_plane and plane_to_message of that plane;
+    at q = 49, 128 and 256 encode and message_to_plane for x = 0 and for
+    every x with T(eps*x) = 0 (the planes with c2 = 0), each with y = s0
+    and with the last element of S;
     at q = 4, 49 and 256 the exception type and text of encode for
     x = -1, x = q^2, a y outside S and a 3-tuple;
   - msg_add on every message pair and msg_scale on every (kappa, message)
@@ -172,6 +175,14 @@ def emit_encodes(cc, dec, out):
             out(f"message plane q={q} m={m}", lambda: (
                 cc.message_to_plane(spec, m),
                 cc.plane_to_message(spec, cc.message_to_plane(spec, m))))
+    for q in (49, 128, 256):
+        # x = 0 and every x with T(eps*x) = 0, whose plane has c2 = 0
+        spec = cc.construct_code(q)
+        F = spec.tower
+        for x in (x for x in range(q * q) if F.trace(F.mul(F.eps, x)) == 0):
+            for m in ((x, spec.s0), (x, spec.s[-1])):
+                out(f"encode c2=0 q={q} m={m}", cc.encode, spec, m)
+                out(f"message plane c2=0 q={q} m={m}", cc.message_to_plane, spec, m)
     for q in (4, 49, 256):
         spec = cc.construct_code(q)
         bad_y = next(y for y in range(q * q) if y not in spec.s)
