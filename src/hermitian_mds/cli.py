@@ -21,7 +21,6 @@ parser's defaults.
 import argparse
 import functools
 import random
-import re
 import sys
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--paper-example", action="store_true",
                    help="use the worked q=5 example instance (modulus X^2-X+2)")
     c.add_argument("--lambda", dest="lam", default=None, metavar="ARC",
-                   help="arc strategy (norm_circle, hyperoval, greedy) or an explicit "
+                   help="arc strategy (norm_circle, hyperoval) or an explicit "
                         "comma-separated element list")
     c.add_argument("--s", default=None, metavar="TRANSVERSAL",
                    help="transversal strategy: subfield or unit-trace")
@@ -91,7 +90,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
@@ -118,9 +117,9 @@ def cmd_construct(args) -> int:
             raise ValueError("--q is required without --paper-example")
         arc_strategy = arc_values = None
         if args.lam is not None:
-            if re.fullmatch(r"\d+(,\d+)*", args.lam):
+            try:
                 arc_strategy, arc_values = "explicit", _parse_ints(args.lam, "--lambda")
-            else:
+            except ValueError:  # not an integer list, so a strategy name
                 arc_strategy = args.lam.replace("-", "_")
         s_strategy = args.s.replace("-", "_") if args.s else None
         arc = arc_strategy or cc.default_arc_strategy(args.q)

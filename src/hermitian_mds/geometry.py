@@ -4,15 +4,12 @@ GF(q^2) is identified with AG(2,q) through the basis {1, eps}; a subset of
 GF(q^2) is usable as an evaluation support iff it is an arc there.  The
 paper's power condition for that is tested as distinct slopes from a new
 point to the points already chosen (_extends_arc, behind
-arc_condition_holds), on decomposed (x0, x1) coordinates.  The slope of a
-direction is computed by one formula, _slopes, which binds the GF(q)
-tables once per call; it is shared by _extends_arc and by the secant
-counts of the greedy arc search, which blocks every point on a line
-through two chosen points.  The norm circle comes from the norm's
-quadratic form (FieldTower.norm_circle); for even q no search is needed,
-since the unit circle plus 0 is a (q+2)-arc, the hyperoval strategy.  A
-transversal S holds one representative per coset of the trace-zero
-subgroup, so trace restricted to S is a bijection onto GF(q).
+arc_condition_holds), on decomposed (x0, x1) coordinates.  The norm circle
+comes from the norm's quadratic form (FieldTower.norm_circle); for even q
+the unit circle plus 0 is a (q+2)-arc, the hyperoval strategy.  Any other
+arc is given as an explicit list.  A transversal S holds one
+representative per coset of the trace-zero subgroup, so trace restricted
+to S is a bijection onto GF(q).
 
 build_lambda and build_transversal check only what a caller supplies
 (explicit arc values); their other strategies are arcs and transversals
@@ -23,15 +20,6 @@ byte for byte.
 """
 
 
-def _slopes(F, pts, apex):
-    """AG(2,q) slopes of the directions from apex to each point of pts, all
-    as (x0, x1) coordinates: (x1 - a1)/(x0 - a0), or q when x0 = a0."""
-    q, neg, mul, inv = F.q, F.q_neg_table, F.q_mul_table, F.q_inv_table
-    # from0[x0] = x0 - a0 and from1[x1] = x1 - a1
-    from0, from1 = F.q_add_table[neg[apex[0]]], F.q_add_table[neg[apex[1]]]
-    return [mul[from1[x1]][inv[d0]] if (d0 := from0[x0]) else q for x0, x1 in pts]
-
-
 def _extends_arc(F, pts, new):
     """Whether no two points of pts are collinear with new in AG(2,q), all
     given as (x0, x1) coordinates.
@@ -39,9 +27,13 @@ def _extends_arc(F, pts, new):
     This is the paper's power criterion with new as the apex beta: for
     alpha, gamma != beta, ((alpha-beta)/(gamma-beta))^(q-1) = 1 iff the
     ratio lies in GF(q)*, iff alpha-beta and gamma-beta are GF(q)-multiples
-    of each other, i.e. have the same slope in AG(2,q) (_slopes).
+    of each other, i.e. have the same slope in AG(2,q): (x1 - a1)/(x0 - a0)
+    from new = (a0, a1), or q when x0 = a0.
     """
-    slopes = _slopes(F, pts, new)
+    q, neg, mul, inv = F.q, F.q_neg_table, F.q_mul_table, F.q_inv_table
+    # from0[x0] = x0 - a0 and from1[x1] = x1 - a1
+    from0, from1 = F.q_add_table[neg[new[0]]], F.q_add_table[neg[new[1]]]
+    slopes = [mul[from1[x1]][inv[d0]] if (d0 := from0[x0]) else q for x0, x1 in pts]
     return len(set(slopes)) == len(slopes)
 
 
@@ -79,64 +71,6 @@ def validate_arc(F, lam):
     return lam
 
 
-GREEDY_MAX_Q = 16  # past it the greedy search never reaches the size bound
-
-
-def _greedy_arc(F, target, node_budget=500_000):
-    """Depth-first extension in integer-encoding order with backtracking.
-
-    Stops at the first arc of the target size, else returns the largest arc
-    seen before the node budget runs out.  on_secant[u] counts the lines
-    through two points of the current arc that contain u, so u extends the
-    arc (_extends_arc) iff the count is 0; each line's q points are built
-    once per search, keyed by (slope, intercept).
-    """
-    q, q2 = F.q, F.q2
-    best = []
-    budget = [node_budget]
-    on_secant = [0] * q2
-    lines = {}
-
-    def secants(arc, g):
-        g0, g1 = F.decompose(g)
-        out = []
-        for slope in _slopes(F, [F.decompose(alpha) for alpha in arc], (g0, g1)):
-            # the line is x = c when vertical, else y = slope*x + c
-            c = g0 if slope == q else F.q_sub(g1, F.q_mul(slope, g0))
-            if (slope, c) not in lines:
-                lines[slope, c] = ([F.compose(c, y) for y in range(q)] if slope == q else
-                                   [F.compose(x, F.q_add(F.q_mul(slope, x), c)) for x in range(q)])
-            out.append(lines[slope, c])
-        return out
-
-    def bump(secs, step):
-        for pts in secs:
-            for u in pts:
-                on_secant[u] += step
-
-    def dfs(arc, start):
-        if len(arc) > len(best):
-            best[:] = arc
-        if len(arc) == target:
-            return True
-        for g in range(start, q2):
-            if budget[0] <= 0:
-                return False
-            if not on_secant[g]:
-                budget[0] -= 1
-                secs = secants(arc, g)
-                bump(secs, 1)
-                arc.append(g)
-                if dfs(arc, g + 1):
-                    return True
-                arc.pop()
-                bump(secs, -1)
-        return False
-
-    dfs([], 0)
-    return best
-
-
 def build_lambda(F, strategy, values=None, c=1):
     """Construct an ordered arc in GF(q^2).
 
@@ -147,10 +81,6 @@ def build_lambda(F, strategy, values=None, c=1):
     whose tangents all meet at its nucleus 0, so the two together are a
     (q+2)-arc, the size bound (Hirschfeld, Projective Geometries over
     Finite Fields, ch. 8).
-    strategy 'greedy' (q <= GREEDY_MAX_Q only): backtracking search
-    targeting the size bound, which it reaches at every q <= 16.  Past
-    that its node budget runs out on a shorter arc (66 of 258 points after
-    minutes at q=256) that an explicit list gives at once, so it is refused.
     Only explicit values are checked here; the structural strategies are
     arcs by construction, and CodeSpec is the gate that validates every
     arc it is given.
@@ -167,10 +97,6 @@ def build_lambda(F, strategy, values=None, c=1):
         if F.q % 2:
             raise ValueError("a hyperoval needs even q")
         return [0] + F.norm_circle(1)
-    if strategy == "greedy":
-        if F.q > GREEDY_MAX_Q:
-            raise ValueError(f"greedy arc search supports q <= {GREEDY_MAX_Q} only, not q={F.q}")
-        return _greedy_arc(F, arc_size_bound(F))
     raise ValueError(f"unknown arc strategy {strategy!r}")
 
 

@@ -15,6 +15,7 @@ import pytest
 from hermitian_mds import code as cc
 from hermitian_mds import decoder as dec
 from hermitian_mds.cli import SimulationReport, build_parser, main, run_simulation
+from test_geometry import HYPEROVAL_Q4, LUNELLI_SCE_Q16
 
 REFERENCE_TEXT = (
     "hermitian-mds v1\n"
@@ -54,7 +55,7 @@ def test_construct_paper_example_q_mismatch(capsys):
 
 def test_construct_paper_example_rejects_other_flags(capsys):
     # the worked example fixes its arc, transversal and norm target
-    for flags in (["--lambda", "greedy"], ["--s", "subfield"], ["--norm-c", "1"]):
+    for flags in (["--lambda", "hyperoval"], ["--s", "subfield"], ["--norm-c", "1"]):
         assert main(["construct", "--paper-example", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -64,7 +65,7 @@ def test_construct_paper_example_rejects_other_flags(capsys):
 def test_construct_norm_c_needs_norm_circle(capsys):
     # --norm-c is the norm_circle target; any other arc strategy would drop it
     for argv in (["--q", "4", "--norm-c", "3"],  # even q: the hyperoval by default
-                 ["--q", "5", "--lambda", "greedy", "--norm-c", "2"],
+                 ["--q", "4", "--lambda", "hyperoval", "--norm-c", "2"],
                  ["--q", "5", "--lambda", "1,4,11,12,18,19", "--norm-c", "2"]):
         assert main(["construct", *argv]) == 1
         captured = capsys.readouterr()
@@ -88,8 +89,8 @@ def test_construct_requires_q(capsys):
     assert main(["construct"]) == 1
 
 
-def test_construct_greedy_unit_trace(capsys):
-    assert main(["construct", "--q", "4", "--lambda", "greedy",
+def test_construct_explicit_arc_unit_trace(capsys):
+    assert main(["construct", "--q", "4", "--lambda", ",".join(map(str, HYPEROVAL_Q4)),
                  "--s", "unit-trace"]) == 0
     out = capsys.readouterr().out
     spec = cc.from_text(out)
@@ -97,24 +98,38 @@ def test_construct_greedy_unit_trace(capsys):
     assert spec.N == 6  # q + 2 at even q
 
 
-def test_construct_greedy_refused_past_q16(capsys):
-    # the greedy search is bounded to q <= 16: past it, exit 1 at once
-    for q in (17, 256):
+def test_construct_greedy_is_an_unknown_strategy(capsys):
+    # an arc other than the built-in ones is an explicit list; "greedy" is
+    # no strategy name, so it is refused at once at every q
+    for q in (4, 16, 256):
         t0 = time.perf_counter()
         assert main(["construct", "--q", str(q), "--lambda", "greedy"]) == 1
         assert time.perf_counter() - t0 < 1.0, q
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: greedy arc search supports q <= 16 only, not q={q}\n"
+        assert captured.err == "error: unknown arc strategy 'greedy'\n"
+
+
+def test_construct_lambda_list_takes_the_integer_list_rule(capsys):
+    # --lambda parses its list as --word and --message do, spaces included
+    assert main(["construct", "--q", "16", "--lambda", ",".join(map(str, LUNELLI_SCE_Q16))]) == 0
+    packed = capsys.readouterr().out
+    assert main(["construct", "--q", "16", "--lambda", ", ".join(map(str, LUNELLI_SCE_Q16))]) == 0
+    assert capsys.readouterr().out == packed
+    # a negative element is an integer list, so the arc range check names it
+    assert main(["construct", "--q", "4", "--lambda=-1,4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arc elements must be canonical GF(q^2) integers\n"
 
 
 def test_construct_even_q_hyperoval_default(capsys):
     # the default even-q arc is the hyperoval, q+2 points; at q=2 and q=8 it
-    # is the arc the greedy search finds, so those files are unchanged
-    for q in (2, 8):
+    # is the first full-size arc in depth-first integer order
+    for q, arc in ((2, "0,1,2,3"), (8, "0,1,8,9,20,22,34,38,50,52")):
         assert main(["construct", "--q", str(q)]) == 0
         default = capsys.readouterr().out
-        assert main(["construct", "--q", str(q), "--lambda", "greedy"]) == 0
+        assert main(["construct", "--q", str(q), "--lambda", arc]) == 0
         assert capsys.readouterr().out == default
     # closed form, so the top of the supported range builds in about a
     # second (measured 0.1 s at q=32 and 1.0 s at q=256 on a 2-core box)
@@ -393,6 +408,17 @@ def test_verify_malformed_file_exit_1(tmp_path, capsys):
 def test_missing_file_exit_1(capsys):
     assert main(["encode", "--code", "/nonexistent.code",
                  "--message", "0,0"]) == 1
+
+
+def test_non_utf8_file_exit_1(tmp_path, capsys):
+    # an undecodable file is a read error that names its path, as a missing one is
+    path = tmp_path / "latin1.code"
+    path.write_bytes(b"hermitian-mds v1\np=5\xff\n")
+    assert main(["verify", "--code", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_deterministic(ref_path, capsys):

@@ -25,6 +25,7 @@ from hermitian_mds import code as cc
 from hermitian_mds import geometry
 from hermitian_mds.fields import FieldError, FieldTower, factor_prime_power, tower_for_q
 from hermitian_mds.linalg import rank, rref
+from test_geometry import LUNELLI_SCE_Q16
 
 
 def enumerate_codewords(spec):
@@ -196,8 +197,9 @@ COUNTED_INSTANCES = {
        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)},
     **{f"q{q}-unit-trace": functools.partial(cc.construct_code, q, s_strategy="unit_trace")
        for q in (3, 5, 7, 9, 11, 13)},
-    **{f"q{q}-greedy": functools.partial(cc.construct_code, q, arc_strategy="greedy")
-       for q in (8, 16)},
+    # the Lunelli-Sce hyperoval, the first full-size arc in depth-first order
+    "q16-greedy": functools.partial(cc.construct_code, 16, "explicit",
+                                    arc_values=LUNELLI_SCE_Q16),
     "q7-first-5": short_arc_q7,
 }
 
@@ -516,7 +518,7 @@ def test_construct_code_validates_once(monkeypatch):
     monkeypatch.setattr(cc, "validate_transversal", transversal)  # imported by name
     for q, arc, s in ((5, None, None), (7, "norm_circle", "unit_trace"),
                       (4, None, None), (8, "hyperoval", "unit_trace"),
-                      (8, "greedy", None), (9, "greedy", "subfield")):
+                      (9, None, "subfield")):
         calls.clear()
         spec = cc.construct_code(q, arc_strategy=arc, s_strategy=s)
         assert sorted(calls) == ["arc", "transversal"], (q, arc, s)

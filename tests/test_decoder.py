@@ -21,6 +21,7 @@ from hermitian_mds import code as cc
 from hermitian_mds import decoder as dec
 from hermitian_mds.fields import tower_for_q
 from hermitian_mds.geometry import build_lambda
+from test_geometry import LUNELLI_SCE_Q16
 
 
 def hamming_distance(a, b) -> int:
@@ -625,8 +626,7 @@ def check_sampled_decodes(spec, per_weight, steered, rng):
 
 
 def test_geometric_decode_sampled_q8():
-    # even q: the 10-point hyperoval at q=8 (the arc the greedy search
-    # also finds), radius t = 3
+    # even q: the 10-point hyperoval at q=8, radius t = 3
     spec = cc.construct_code(8)
     assert (spec.N, (spec.N - 3) // 2) == (10, 3)
     check_sampled_decodes(spec, per_weight=60, steered=30, rng=random.Random(8))
@@ -641,13 +641,13 @@ def test_geometric_decode_sampled_q16():
 
 
 def test_geometric_decode_on_the_non_conic_q16_arc():
-    # the greedy q=16 arc is a hyperoval but not a conic plus a point
+    # the Lunelli-Sce q=16 arc is a hyperoval but not a conic plus a point
     # (tests/test_geometry.py), so its code is no extended Reed-Solomon
     # code; the paper's decoder needs only an arc.  On 100 seeded words,
     # odd ones uniform and even ones a codeword plus 0..t+2 errors, it
     # returns ML's codeword when that lies within t of the word, and FAIL
     # otherwise
-    spec = cc.construct_code(16, "greedy")
+    spec = cc.construct_code(16, "explicit", arc_values=LUNELLI_SCE_Q16)
     F, N, t = spec.tower, spec.N, (spec.N - 3) // 2
     assert (N, t) == (18, 7)
     rng = random.Random("non-conic:16")

@@ -6,12 +6,11 @@ The q=5 instance with modulus X^2 - X + 2 uses the known 6-element arc
 as an oracle.  arc_condition_holds is cross-checked against the paper's
 power criterion written out literally here, exhaustively on small subsets
 at q=3 and q=4 and on seeded subsets up to the size bound beyond.  The
-greedy arc search, which tracks secant lines incrementally, is checked
-against the same depth-first search written with arc_condition_holds.  The
 hyperoval (unit circle plus 0) is checked for size q+2 at every even
-q <= 128; the greedy q=16 hyperoval is checked to be no conic plus a
-point, against the default one, which is.  build_lambda validates only explicit values (CodeSpec is the
-gate), so every arc these tests build is checked with arc_condition_holds.
+q <= 128; the pinned Lunelli-Sce q=16 hyperoval is checked to be no conic
+plus a point, against the default one, which is.  build_lambda validates
+only explicit values (CodeSpec is the gate), so every arc these tests
+build is checked with arc_condition_holds.
 """
 
 import itertools
@@ -23,7 +22,6 @@ from hermitian_mds import code as cc
 from hermitian_mds.decoder import normalize_point
 from hermitian_mds.fields import FieldError, FieldTower, factor_prime_power, tower_for_q
 from hermitian_mds.geometry import (
-    _greedy_arc,
     arc_condition_holds,
     arc_size_bound,
     build_lambda,
@@ -34,6 +32,11 @@ from hermitian_mds.geometry import (
 from hermitian_mds.linalg import rank
 
 REFERENCE_LAMBDA = [23, 12, 11, 7, 18, 19]  # eps^3, eps^4, eps^8, eps^15, eps^16, eps^20
+# the first full-size arcs in depth-first integer order, given as explicit
+# lists: a q=4 hyperoval and, at q=16, the Lunelli-Sce hyperoval (up to
+# equivalence the one irregular hyperoval of PG(2,16), Hall 1975)
+HYPEROVAL_Q4 = [0, 1, 4, 6, 9, 10]
+LUNELLI_SCE_Q16 = [0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236]
 
 
 @pytest.fixture(scope="module")
@@ -147,19 +150,11 @@ def test_build_lambda_norm_circle_sizes():
         assert arc_condition_holds(F, lam), q
 
 
-def test_build_lambda_greedy(f4):
-    lam = build_lambda(f4, "greedy")
-    assert len(lam) == 6  # q + 2 reachable in even characteristic
-    assert lam == [0, 1, 4, 6, 9, 10]  # deterministic search order
-    assert build_lambda(tower_for_q(8), "greedy") == [0, 1, 8, 9, 20, 22, 34, 38, 50, 52]
-    # the decode-beyond benchmark instance
-    assert build_lambda(tower_for_q(16), "greedy") == [
-        0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236]
-    # build_lambda does not validate what it builds
-    for q in (3, 4, 5, 8, 9, 16):
+def test_pinned_arcs_pass_at_the_size_bound():
+    for q, values in ((4, HYPEROVAL_Q4), (16, LUNELLI_SCE_Q16)):
         F = tower_for_q(q)
-        lam = build_lambda(F, "greedy")
-        assert len(lam) == arc_size_bound(F) and arc_condition_holds(F, lam), q
+        assert len(values) == arc_size_bound(F) and arc_condition_holds(F, values), q
+        assert build_lambda(F, "explicit", values) == values
 
 
 def test_build_lambda_hyperoval():
@@ -172,56 +167,12 @@ def test_build_lambda_hyperoval():
         assert arc_condition_holds(F, lam)
         assert lam == sorted(lam) and lam[0] == 0
         assert all(F.norm(u) == 1 for u in lam[1:])
-    # where the greedy search finds the same arc, the two strategies agree
-    for q in (2, 8):
-        F = tower_for_q(q)
-        assert build_lambda(F, "hyperoval") == build_lambda(F, "greedy")
 
 
 def test_build_lambda_hyperoval_needs_even_q(f5p):
     for F in (f5p, tower_for_q(3), tower_for_q(9)):
         with pytest.raises(ValueError, match="even q"):
             build_lambda(F, "hyperoval")
-
-
-def reference_greedy(F, target, node_budget):
-    # the search spelled out: depth-first in integer order, each candidate
-    # tested by the full arc condition, the budget checked before every
-    # candidate and charged one unit per accepted extension
-    best = []
-    budget = node_budget
-
-    def dfs(arc, start):
-        nonlocal budget
-        if len(arc) > len(best):
-            best[:] = arc
-        if len(arc) == target:
-            return True
-        for g in range(start, F.q2):
-            if budget <= 0:
-                return False
-            if arc_condition_holds(F, arc + [g]):
-                budget -= 1
-                if dfs(arc + [g], g + 1):
-                    return True
-        return False
-
-    dfs([], 0)
-    return best
-
-
-def test_greedy_arc_matches_reference_search():
-    for q in (2, 3, 4, 5, 7, 8, 9, 11):
-        F = tower_for_q(q)
-        target = arc_size_bound(F)
-        assert _greedy_arc(F, target) == reference_greedy(F, target, 500_000)
-    # budgets that run out at the root, on the first levels and mid-search
-    for q in (13, 16):
-        F = tower_for_q(q)
-        target = arc_size_bound(F)
-        for budget in (0, 1, 2, 3, 50, 1000):
-            assert (_greedy_arc(F, target, node_budget=budget)
-                    == reference_greedy(F, target, budget))
 
 
 def conic_rank(F, pts):
@@ -232,15 +183,15 @@ def conic_rank(F, pts):
 
 
 def test_greedy_q16_arc_is_not_a_conic_plus_a_point():
-    # Dropping any one of the greedy arc's 18 points leaves 17 on no conic,
-    # so the arc is a hyperoval but not a conic plus its nucleus (the
+    # Dropping any one of the 18 points of LUNELLI_SCE_Q16 leaves 17 on no
+    # conic, so the arc is a hyperoval but not a conic plus its nucleus (the
     # Lunelli-Sce hyperoval, up to equivalence the one irregular hyperoval
     # of PG(2,16)).  The control: the default hyperoval less its nucleus 0
     # is the unit circle, a conic, and with 0 kept no conic holds the
     # other 17.
     F = tower_for_q(16)
-    greedy = [F.decompose(u) for u in build_lambda(F, "greedy")]
-    assert [conic_rank(F, greedy[:i] + greedy[i + 1:]) for i in range(18)] == [6] * 18
+    irregular = [F.decompose(u) for u in build_lambda(F, "explicit", LUNELLI_SCE_Q16)]
+    assert [conic_rank(F, irregular[:i] + irregular[i + 1:]) for i in range(18)] == [6] * 18
     regular = [F.decompose(u) for u in build_lambda(F, "hyperoval")]
     assert regular[0] == (0, 0)
     assert [conic_rank(F, regular[:i] + regular[i + 1:]) for i in range(18)] == [5] + [6] * 17

@@ -52,9 +52,10 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
   - stdout, stderr and exit code of a fixed list of CLI invocations:
     `weights` at every prime power q <= 49 and on the reference instance,
-    `verify` at q = 4, 8, 13 and 16 and on the reference instance, and
-    `construct --lambda greedy` at q = 4 and 16, so that the greedy
-    strategy stays compared where it is no longer the default; also
+    `verify` at q = 4, 8, 13 and 16 and on the reference instance;
+    `construct` with the explicit full-size arcs `--lambda 0,1,4,6,9,10`
+    at q=4 and the Lunelli-Sce hyperoval LUNELLI_SCE_Q16 at q=16, so that
+    explicit arcs stay compared where they are no default; also
     `construct` with the default strategies at every q = 2..16 (exit 1 at
     the five that are no prime power) and every prime power q <= 256, with
     `--lambda norm_circle --norm-c 2` at q = 7 and 16, and with the
@@ -291,6 +292,8 @@ def emit_simulations(cc, dec, out):
 
 
 WEIGHTS_QS = tuple(q for q in SUPPORTED_QS if q <= 49)
+# the irregular hyperoval of PG(2,16), the first 18-arc in integer order
+LUNELLI_SCE_Q16 = (0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236)
 
 CLI_FILES = [["construct", "--paper-example", "--out", "ref.code"]] + [
     ["construct", "--q", str(q), "--out", f"q{q}.code"] for q in WEIGHTS_QS]
@@ -298,7 +301,8 @@ CLI_FILES = [["construct", "--paper-example", "--out", "ref.code"]] + [
 CLI_CASES = (
     [["construct", "--q", str(q)] for q in range(2, 17)]  # 6, 10, 12, 14, 15: exit 1
     + [["construct", "--q", str(q)] for q in SUPPORTED_QS if q > 16]
-    + [["construct", "--q", str(q), "--lambda", "greedy"] for q in (4, 16)]
+    + [["construct", "--q", "4", "--lambda", "0,1,4,6,9,10"],
+       ["construct", "--q", "16", "--lambda", ",".join(map(str, LUNELLI_SCE_Q16))]]
     + [["construct", "--q", str(q), "--lambda", "norm_circle", "--norm-c", "2"] for q in (7, 16)]
     + [["construct", "--q", "5", "--lambda", "0,1,2"]]  # not an arc: exit 1
     + [
