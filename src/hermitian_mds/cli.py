@@ -49,12 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--paper-example", action="store_true",
                    help="use the worked q=5 example instance (modulus X^2-X+2)")
     c.add_argument("--lambda", dest="lam", default=None, metavar="ARC",
-                   help="arc strategy (norm_circle, hyperoval) or an explicit "
-                        "comma-separated element list")
+                   help="arc strategy (norm_circle: the unit circle; hyperoval: "
+                        "it plus 0, even q) or an explicit comma-separated "
+                        "element list, e.g. another norm circle")
     c.add_argument("--s", default=None, metavar="TRANSVERSAL",
                    help="transversal strategy: subfield or unit-trace")
-    c.add_argument("--norm-c", type=int, default=None,
-                   help="norm target for the norm_circle strategy (default 1)")
     c.add_argument("--out", default=None, help="output path (default: stdout)")
     c.set_defaults(func=cmd_construct)
 
@@ -109,8 +108,8 @@ def cmd_construct(args) -> int:
     if args.paper_example:
         if args.q not in (None, 5):
             raise ValueError("the worked example instance has q=5")
-        if (args.lam, args.s, args.norm_c) != (None, None, None):
-            raise ValueError("--paper-example takes no --lambda, --s or --norm-c")
+        if (args.lam, args.s) != (None, None):
+            raise ValueError("--paper-example takes no --lambda or --s")
         spec = cc.reference_instance()
     else:
         if args.q is None:
@@ -121,15 +120,11 @@ def cmd_construct(args) -> int:
                 arc_strategy, arc_values = "explicit", _parse_ints(args.lam, "--lambda")
             except ValueError:  # not an integer list, so a strategy name
                 arc_strategy = args.lam.replace("-", "_")
-        s_strategy = args.s.replace("-", "_") if args.s else None
-        arc = arc_strategy or cc.default_arc_strategy(args.q)
-        if args.norm_c is not None and arc != "norm_circle":
-            raise ValueError("--norm-c applies only to the norm_circle arc strategy")
+        s_strategy = args.s.replace("-", "_") if args.s is not None else None
         spec = cc.construct_code(args.q, arc_strategy=arc_strategy,
-                                 s_strategy=s_strategy, arc_values=arc_values,
-                                 norm_c=1 if args.norm_c is None else args.norm_c)
+                                 s_strategy=s_strategy, arc_values=arc_values)
     text = cc.to_text(spec)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -69,7 +69,7 @@ class CodeSpec:
     """Immutable description of one code instance.
 
     Validates the arc and the transversal, the one gate for both:
-    build_lambda and build_transversal do not re-check what they construct.
+    build_lambda and build_transversal validate nothing they return.
 
     Holds the plane basis of the code: coords[i] = (lam_i^1, lam_i^2), the
     components of lam_i, so the codeword of the plane z = c1*x + c2*y + c0
@@ -477,13 +477,8 @@ def is_reference_instance(spec: CodeSpec) -> bool:
     return spec == reference_instance()
 
 
-def default_arc_strategy(q: int) -> str:
-    """The arc of size bound: the norm circle for odd q, the hyperoval for even q."""
-    return "norm_circle" if q % 2 else "hyperoval"
-
-
 def construct_code(q: int, arc_strategy: str = None, s_strategy: str = None,
-                   arc_values=None, norm_c: int = 1) -> CodeSpec:
+                   arc_values=None) -> CodeSpec:
     """Build an instance for a prime power q with sensible defaults.
 
     Odd q: arc = norm_circle (q+1 points), S = the subfield.
@@ -491,9 +486,9 @@ def construct_code(q: int, arc_strategy: str = None, s_strategy: str = None,
     """
     tower = tower_for_q(q)
     if arc_strategy is None:
-        arc_strategy = default_arc_strategy(q)
+        arc_strategy = "norm_circle" if q % 2 else "hyperoval"
     if s_strategy is None:
         s_strategy = "subfield" if q % 2 else "unit_trace"
-    lam = build_lambda(tower, arc_strategy, values=arc_values, c=norm_c)
+    lam = build_lambda(tower, arc_strategy, values=arc_values)
     s = build_transversal(tower, s_strategy)
     return CodeSpec(tower, lam, s)

@@ -249,18 +249,9 @@ class FieldTower:
         hi = add[add[mul[a0][b1]][mul[a1][b0]]][mul[cross][self._r1]]
         return lo + q * hi
 
-    def inv(self, a: int) -> int:
-        """Inverse via the conjugate: a^{-1} = frobenius(a) / norm(a)."""
-        if a == 0:
-            raise FieldError("inverse of zero in GF(q^2)")
-        conj = self.frobenius(a)
-        s = self.q_inv_table[self.norm(a)]
-        q = self.q
-        return self.q_mul_table[conj % q][s] + q * self.q_mul_table[conj // q][s]
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
-            return self.pow(self.inv(a), -n)
+            raise FieldError(f"negative exponent {n}")
         result = 1
         base = a
         while n:

@@ -4,17 +4,21 @@ GF(q^2) is identified with AG(2,q) through the basis {1, eps}; a subset of
 GF(q^2) is usable as an evaluation support iff it is an arc there.  The
 paper's power condition for that is tested as distinct slopes from a new
 point to the points already chosen (_extends_arc, behind
-arc_condition_holds), on decomposed (x0, x1) coordinates.  The norm circle
-comes from the norm's quadratic form (FieldTower.norm_circle); for even q
-the unit circle plus 0 is a (q+2)-arc, the hyperoval strategy.  Any other
-arc is given as an explicit list.  A transversal S holds one
-representative per coset of the trace-zero subgroup, so trace restricted
-to S is a bijection onto GF(q).
+arc_condition_holds), on decomposed (x0, x1) coordinates.  The norm_circle
+strategy is the unit circle {u : norm(u) = 1}, read off the norm's
+quadratic form (FieldTower.norm_circle); for even q the unit circle plus 0
+is a (q+2)-arc, the hyperoval strategy.  Any other arc is given as an
+explicit list.  The norm onto GF(q)* is surjective, so every norm circle
+{norm(u) = c} is a*{norm(u) = 1} for any a of norm c; multiplying by a is
+GF(q)-linear on AG(2,q), so that circle gives the unit circle's code with
+its coordinates reordered.  A transversal S holds one representative per
+coset of the trace-zero subgroup, so trace restricted to S is a bijection
+onto GF(q).
 
-build_lambda and build_transversal check only what a caller supplies
-(explicit arc values); their other strategies are arcs and transversals
-by construction, and code.CodeSpec validates both once for every instance
-it is given.
+build_lambda and build_transversal validate nothing they return: their
+strategies are arcs and transversals by construction, explicit values are
+passed through as given, and code.CodeSpec validates both once for every
+instance it is given.
 All enumeration orders are fixed so construction output is reproducible
 byte for byte.
 """
@@ -71,28 +75,25 @@ def validate_arc(F, lam):
     return lam
 
 
-def build_lambda(F, strategy, values=None, c=1):
+def build_lambda(F, strategy, values=None):
     """Construct an ordered arc in GF(q^2).
 
-    strategy 'explicit': validate the given values as-is (order preserved).
-    strategy 'norm_circle': all u with norm(u) = c (c != 0), ascending.
+    strategy 'explicit': the given values as-is (order preserved).
+    strategy 'norm_circle': all u with norm(u) = 1, ascending.
     strategy 'hyperoval' (even q only): 0 and all u with norm(u) = 1,
     ascending.  In characteristic 2 the unit circle is a conic of AG(2,q)
     whose tangents all meet at its nucleus 0, so the two together are a
     (q+2)-arc, the size bound (Hirschfeld, Projective Geometries over
     Finite Fields, ch. 8).
-    Only explicit values are checked here; the structural strategies are
-    arcs by construction, and CodeSpec is the gate that validates every
-    arc it is given.
+    No arc is validated here; CodeSpec is the gate that validates every
+    arc it is given, explicit values included.
     """
     if strategy == "explicit":
         if values is None:
             raise ValueError("explicit strategy needs values")
-        return validate_arc(F, list(values))
+        return list(values)
     if strategy == "norm_circle":
-        if not 0 < c < F.q:
-            raise ValueError("norm_circle needs a nonzero GF(q) target")
-        return F.norm_circle(c)
+        return F.norm_circle(1)
     if strategy == "hyperoval":
         if F.q % 2:
             raise ValueError("a hyperoval needs even q")

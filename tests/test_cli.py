@@ -54,30 +54,38 @@ def test_construct_paper_example_q_mismatch(capsys):
 
 
 def test_construct_paper_example_rejects_other_flags(capsys):
-    # the worked example fixes its arc, transversal and norm target
-    for flags in (["--lambda", "hyperoval"], ["--s", "subfield"], ["--norm-c", "1"]):
+    # the worked example fixes its arc and transversal
+    for flags in (["--lambda", "hyperoval"], ["--s", "subfield"]):
         assert main(["construct", "--paper-example", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --paper-example takes no --lambda, --s or --norm-c\n"
+        assert captured.err == "error: --paper-example takes no --lambda or --s\n"
 
 
-def test_construct_norm_c_needs_norm_circle(capsys):
-    # --norm-c is the norm_circle target; any other arc strategy would drop it
-    for argv in (["--q", "4", "--norm-c", "3"],  # even q: the hyperoval by default
-                 ["--q", "4", "--lambda", "hyperoval", "--norm-c", "2"],
-                 ["--q", "5", "--lambda", "1,4,11,12,18,19", "--norm-c", "2"]):
+def test_construct_norm_c_is_an_unrecognized_argument(capsys):
+    # every norm circle is the unit circle scaled, so no option picks one;
+    # another circle is an explicit list, here the norm-2 circle at q=5
+    for argv in (["--q", "5", "--norm-c", "2"], ["--paper-example", "--norm-c", "1"]):
         assert main(["construct", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --norm-c applies only to the norm_circle arc strategy\n"
-    # on the norm circle, the odd-q default or named, the target is used
-    assert main(["construct", "--q", "5", "--norm-c", "2"]) == 0
-    out = capsys.readouterr().out
-    spec = cc.from_text(out)
-    assert all(spec.tower.norm(u) == 2 for u in spec.lam)
-    assert main(["construct", "--q", "5", "--lambda", "norm-circle", "--norm-c", "2"]) == 0
-    assert capsys.readouterr().out == out
+        assert "error: unrecognized arguments: --norm-c" in captured.err
+    assert main(["construct", "--q", "5", "--lambda", "5,12,13,17,18,20"]) == 0
+    spec = cc.from_text(capsys.readouterr().out)
+    assert spec.lam == spec.tower.norm_circle(2)
+
+
+def test_construct_empty_option_values_fail(tmp_path, capsys):
+    # an empty --s is an unknown strategy, as an empty --lambda is, and an
+    # empty --out a path that cannot be written; neither falls back to the
+    # default
+    for flags, err in ((["--lambda", ""], "error: unknown arc strategy ''\n"),
+                       (["--s", ""], "error: unknown transversal strategy ''\n"),
+                       (["--out", ""], "error: cannot write : ")):
+        assert main(["construct", "--q", "5", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err) and captured.err.count("\n") == 1
 
 
 def test_construct_not_prime_power(capsys):
@@ -156,11 +164,15 @@ def test_construct_explicit_lambda_keeps_order(capsys):
 
 
 def test_construct_explicit_lambda_rejected(capsys):
-    # explicit values are checked before an instance is built
-    assert main(["construct", "--q", "5", "--lambda", "0,1,2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: arc condition fails\n"
+    # explicit values are checked where every arc is, in CodeSpec, so a
+    # bad transversal strategy is reported first
+    for flags, err in ((["--q", "5"], "arc condition fails"),
+                       (["--q", "4", "--s", "subfield"],
+                        "GF(q) lies in the trace kernel for even q")):
+        assert main(["construct", *flags, "--lambda", "0,1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
 
 def test_construct_out_unwritable_path(tmp_path, capsys):

@@ -6,7 +6,9 @@ space, weight counts and intersection counts are pinned here.  Structural
 claims (injectivity, MDS, closure homomorphisms) are verified by
 exhaustion on small q, the closure homomorphisms also on seeded pairs up
 to q=256, and the trace pairing against its inverse and gq2's
-discriminant at every q <= 256.  The plane section and encode are checked
+discriminant at every q <= 256.  Every norm circle is checked to be the
+unit circle scaled, with the same code up to coordinate order, at every
+prime power q <= 16.  The plane section and encode are checked
 against their literal forms on seeded planes and messages up to q=256.
 The weights, distance and common zeros, counted from the plane sections,
 are checked against a local enumeration that encodes every message, at
@@ -376,7 +378,7 @@ def test_trace_pairing_inverse_and_discriminant():
     count = 0
     for F in gram_towers():
         q = F.q
-        lam = geometry.build_lambda(F, cc.default_arc_strategy(q))
+        lam = geometry.build_lambda(F, "norm_circle" if q % 2 else "hyperoval")
         s = geometry.build_transversal(F, "subfield" if q % 2 else "unit_trace")
         spec = cc.CodeSpec(F, lam, s)
         G, H = spec.gram, spec.gram_inv
@@ -492,9 +494,10 @@ def test_from_text_extension_field():
 
 
 def test_construct_code_validates_once(monkeypatch):
-    # build_lambda and build_transversal trust their own constructions;
-    # CodeSpec is the one gate, so each instance runs one arc check and one
-    # transversal check, and takes the trace of each element of S once
+    # build_lambda and build_transversal validate nothing they return,
+    # explicit values included; CodeSpec is the one gate, so each instance runs one arc
+    # check and one transversal check, and takes the trace of each element
+    # of S once
     calls = []
     traced = []
     trace = FieldTower.trace
@@ -516,16 +519,35 @@ def test_construct_code_validates_once(monkeypatch):
     transversal = counting("transversal", geometry.validate_transversal)
     monkeypatch.setattr(geometry, "validate_transversal", transversal)
     monkeypatch.setattr(cc, "validate_transversal", transversal)  # imported by name
-    for q, arc, s in ((5, None, None), (7, "norm_circle", "unit_trace"),
-                      (4, None, None), (8, "hyperoval", "unit_trace"),
-                      (9, None, "subfield")):
+    for q, arc, s, values in ((5, None, None, None), (7, "norm_circle", "unit_trace", None),
+                              (4, None, None, None), (8, "hyperoval", "unit_trace", None),
+                              (9, None, "subfield", None),
+                              (16, "explicit", None, LUNELLI_SCE_Q16)):
         calls.clear()
-        spec = cc.construct_code(q, arc_strategy=arc, s_strategy=s)
+        spec = cc.construct_code(q, arc_strategy=arc, s_strategy=s, arc_values=values)
         assert sorted(calls) == ["arc", "transversal"], (q, arc, s)
         # q traces for S, three for the trace pairing on {1, eps}
         traced.clear()
         cc.CodeSpec(spec.tower, spec.lam, spec.s)
         assert len(traced) == q + 3, (q, arc, s)
+
+
+def test_every_norm_circle_is_the_unit_circle_scaled():
+    # the norm onto GF(q)* is surjective, so {norm(u) = c} = a*{norm(u) = 1}
+    # for any a of norm c; multiplying by a is GF(q)-linear on AG(2,q), so
+    # the two arcs give one code, its coordinates reordered
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        unit = cc.construct_code(q, "norm_circle")
+        F = unit.tower
+        for c in range(1, q):
+            a = next(a for a in F.elements() if F.norm(a) == c)
+            scaled = [F.mul(a, u) for u in unit.lam]
+            circle = F.norm_circle(c)
+            assert sorted(scaled) == circle, (q, c)
+            G = cc.generator_matrix(cc.construct_code(q, "explicit", arc_values=circle))
+            columns = [circle.index(u) for u in scaled]
+            permuted = [[row[j] for j in columns] for row in G]
+            assert rref(F, permuted)[0] == cc.generator_matrix(unit), (q, c)
 
 
 def test_construct_code_defaults(specs):

@@ -25,6 +25,7 @@ KNOWN_STALE = {
     "decoder.project_from",
     "decoder.extract_linear_factors",
     "code.enumerate_codewords",
+    "fields.FieldTower.inv",
 }
 
 

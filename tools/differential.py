@@ -58,8 +58,8 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     explicit arcs stay compared where they are no default; also
     `construct` with the default strategies at every q = 2..16 (exit 1 at
     the five that are no prime power) and every prime power q <= 256, with
-    `--lambda norm_circle --norm-c 2` at q = 7 and 16, and with the
-    explicit non-arc `--lambda 0,1,2` at q = 5.
+    the explicit norm-2 circles NORM_2_CIRCLES at q = 7 and 16, and with
+    the explicit non-arc `--lambda 0,1,2` at q = 5.
 The two children run side by side; the whole run takes 20-45 s on a
 2-core box under Python 3.11, depending on the host's CPU speed state.
 
@@ -294,6 +294,12 @@ def emit_simulations(cc, dec, out):
 WEIGHTS_QS = tuple(q for q in SUPPORTED_QS if q <= 49)
 # the irregular hyperoval of PG(2,16), the first 18-arc in integer order
 LUNELLI_SCE_Q16 = (0, 1, 16, 17, 36, 37, 58, 60, 82, 83, 132, 138, 178, 183, 195, 199, 229, 236)
+# the norm-2 circles at q = 7 and 16: the unit circle scaled, so explicit
+# lists whose files are the unit circle's code with its coordinates reordered
+NORM_2_CIRCLES = {
+    7: (3, 4, 8, 13, 21, 28, 43, 48),
+    16: (5, 44, 46, 67, 71, 99, 101, 121, 126, 144, 153, 166, 172, 230, 232, 247, 248),
+}
 
 CLI_FILES = [["construct", "--paper-example", "--out", "ref.code"]] + [
     ["construct", "--q", str(q), "--out", f"q{q}.code"] for q in WEIGHTS_QS]
@@ -303,7 +309,8 @@ CLI_CASES = (
     + [["construct", "--q", str(q)] for q in SUPPORTED_QS if q > 16]
     + [["construct", "--q", "4", "--lambda", "0,1,4,6,9,10"],
        ["construct", "--q", "16", "--lambda", ",".join(map(str, LUNELLI_SCE_Q16))]]
-    + [["construct", "--q", str(q), "--lambda", "norm_circle", "--norm-c", "2"] for q in (7, 16)]
+    + [["construct", "--q", str(q), "--lambda", ",".join(map(str, circle))]
+       for q, circle in NORM_2_CIRCLES.items()]
     + [["construct", "--q", "5", "--lambda", "0,1,2"]]  # not an arc: exit 1
     + [
         ["construct", "--paper-example"],
