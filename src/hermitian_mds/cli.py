@@ -114,15 +114,14 @@ def cmd_construct(args) -> int:
     else:
         if args.q is None:
             raise ValueError("--q is required without --paper-example")
-        arc_strategy = arc_values = None
-        if args.lam is not None:
+        arc = args.lam
+        if arc is not None:
             try:
-                arc_strategy, arc_values = "explicit", _parse_ints(args.lam, "--lambda")
+                arc = _parse_ints(arc, "--lambda")
             except ValueError:  # not an integer list, so a strategy name
-                arc_strategy = args.lam.replace("-", "_")
+                arc = arc.replace("-", "_")
         s_strategy = args.s.replace("-", "_") if args.s is not None else None
-        spec = cc.construct_code(args.q, arc_strategy=arc_strategy,
-                                 s_strategy=s_strategy, arc_values=arc_values)
+        spec = cc.construct_code(args.q, arc, s_strategy)
     text = cc.to_text(spec)
     if args.out is not None:
         try:
@@ -149,20 +148,19 @@ def cmd_decode(args) -> int:
     spec = _load_spec(args.code)
     r = tuple(_parse_ints(args.word, "--word"))
     if args.method == "ml":
-        word, message, tie = dec.ml_decode_message(spec, r)
-        corrected = tuple(i for i in range(spec.N) if word[i] != r[i])
-        print("codeword=" + ",".join(str(c) for c in word))
-        print("message=" + ",".join(str(c) for c in message))
-        print("corrected=" + ",".join(str(i) for i in corrected))
+        word, tie = dec.ml_decode(spec, r)
+    else:
+        res = dec.geometric_decode(spec, r)
+        if res is None:
+            print("FAIL")
+            return 3
+        word = res.codeword
+    message = cc.plane_to_message(spec, cc.codeword_to_plane(spec, word))
+    print("codeword=" + ",".join(str(c) for c in word))
+    print("message=" + ",".join(str(c) for c in message))
+    print("corrected=" + ",".join(str(i) for i, c in enumerate(word) if c != r[i]))
+    if args.method == "ml":
         print("tie=" + ("yes" if tie else "no"))
-        return 0
-    res = dec.geometric_decode(spec, r)
-    if res is None:
-        print("FAIL")
-        return 3
-    print("codeword=" + ",".join(str(c) for c in res.codeword))
-    print("message=" + ",".join(str(c) for c in res.message))
-    print("corrected=" + ",".join(str(i) for i in res.corrected_positions))
     return 0
 
 
@@ -233,7 +231,7 @@ def cmd_verify(args) -> int:
               f"A_{N - 2}={a_nm2}, A_{N - 1}={a_nm1}")
         rows.append(("weights-a_n-expanded", "INFO",
                      f"expanded form {a_n} vs enumeration {we[N]}"))
-        if cc.is_reference_instance(spec):
+        if spec == cc.reference_instance():
             claim("reference-row-space", G == rref(F, cc.REFERENCE_Q5_G_ROWS)[0],
                   "generator row space matches the known q=5 matrix")
             claim("reference-weights",

@@ -473,22 +473,16 @@ def reference_instance() -> CodeSpec:
     return CodeSpec(tower, REFERENCE_Q5_LAMBDA, list(range(5)))
 
 
-def is_reference_instance(spec: CodeSpec) -> bool:
-    return spec == reference_instance()
-
-
-def construct_code(q: int, arc_strategy: str = None, s_strategy: str = None,
-                   arc_values=None) -> CodeSpec:
+def construct_code(q: int, arc=None, s_strategy: str = None) -> CodeSpec:
     """Build an instance for a prime power q with sensible defaults.
 
+    arc is a build_lambda strategy name or the arc's elements.
     Odd q: arc = norm_circle (q+1 points), S = the subfield.
     Even q: arc = hyperoval (q+2 points), S = unit_trace multiples.
     """
     tower = tower_for_q(q)
-    if arc_strategy is None:
-        arc_strategy = "norm_circle" if q % 2 else "hyperoval"
+    if arc is None:
+        arc = "norm_circle" if q % 2 else "hyperoval"
     if s_strategy is None:
         s_strategy = "subfield" if q % 2 else "unit_trace"
-    lam = build_lambda(tower, arc_strategy, values=arc_values)
-    s = build_transversal(tower, s_strategy)
-    return CodeSpec(tower, lam, s)
+    return CodeSpec(tower, build_lambda(tower, arc), build_transversal(tower, s_strategy))

@@ -78,7 +78,6 @@ from dataclasses import dataclass
 
 from .code import (
     CodeSpec,
-    codeword_to_plane,
     plane_agreements,
     plane_to_codeword,
     plane_to_message,
@@ -272,8 +271,3 @@ def ml_decode(spec: CodeSpec, r):
     words = [plane_to_codeword(spec, plane) for plane in planes]
     return min(words), len(words) > 1
 
-
-def ml_decode_message(spec: CodeSpec, r):
-    """ml_decode plus the message of the decoded codeword."""
-    word, tie = ml_decode(spec, r)
-    return word, plane_to_message(spec, codeword_to_plane(spec, word)), tie

@@ -140,8 +140,8 @@ class FieldTower:
         self._r1 = self.q_neg(gq2[1])
         self._t1 = self.q_add(1, 1)  # trace(1)
         self.eps = q  # integer encoding of (0, 1)
-        self.eps_q = self.pow(self.eps, q)  # Frobenius image of eps
-        if self.add(self.eps_q, self.eps) != self._r1:  # frobenius, trace, norm rest on it
+        # eps plus its Frobenius image eps^q is trace(eps); frobenius, trace, norm rest on it
+        if self.add(self.pow(self.eps, q), self.eps) != self._r1:
             raise FieldError("trace(eps) not in GF(q); broken modulus")
 
     # -- construction helpers ------------------------------------------------

@@ -16,9 +16,9 @@ coset of the trace-zero subgroup, so trace restricted to S is a bijection
 onto GF(q).
 
 build_lambda and build_transversal validate nothing they return: their
-strategies are arcs and transversals by construction, explicit values are
-passed through as given, and code.CodeSpec validates both once for every
-instance it is given.
+strategies are arcs and transversals by construction, explicit arc
+elements are passed through as given, and code.CodeSpec validates both
+once for every instance it is given.
 All enumeration orders are fixed so construction output is reproducible
 byte for byte.
 """
@@ -75,30 +75,28 @@ def validate_arc(F, lam):
     return lam
 
 
-def build_lambda(F, strategy, values=None):
-    """Construct an ordered arc in GF(q^2).
+def build_lambda(F, arc):
+    """Construct an ordered arc in GF(q^2) from a strategy name or its
+    elements.
 
-    strategy 'explicit': the given values as-is (order preserved).
-    strategy 'norm_circle': all u with norm(u) = 1, ascending.
-    strategy 'hyperoval' (even q only): 0 and all u with norm(u) = 1,
-    ascending.  In characteristic 2 the unit circle is a conic of AG(2,q)
-    whose tangents all meet at its nucleus 0, so the two together are a
-    (q+2)-arc, the size bound (Hirschfeld, Projective Geometries over
-    Finite Fields, ch. 8).
+    Elements (any non-string iterable): returned as a list, order preserved.
+    'norm_circle': all u with norm(u) = 1, ascending.
+    'hyperoval' (even q only): 0 and all u with norm(u) = 1, ascending.  In
+    characteristic 2 the unit circle is a conic of AG(2,q) whose tangents
+    all meet at its nucleus 0, so the two together are a (q+2)-arc, the
+    size bound (Hirschfeld, Projective Geometries over Finite Fields, ch. 8).
     No arc is validated here; CodeSpec is the gate that validates every
-    arc it is given, explicit values included.
+    arc it is given, explicit elements included.
     """
-    if strategy == "explicit":
-        if values is None:
-            raise ValueError("explicit strategy needs values")
-        return list(values)
-    if strategy == "norm_circle":
+    if not isinstance(arc, str):
+        return list(arc)
+    if arc == "norm_circle":
         return F.norm_circle(1)
-    if strategy == "hyperoval":
+    if arc == "hyperoval":
         if F.q % 2:
             raise ValueError("a hyperoval needs even q")
         return [0] + F.norm_circle(1)
-    raise ValueError(f"unknown arc strategy {strategy!r}")
+    raise ValueError(f"unknown arc strategy {arc!r}")
 
 
 def validate_transversal(F, s):

@@ -43,7 +43,7 @@ def test_construct_paper_example_file_roundtrip(ref_path):
     with open(ref_path, encoding="utf-8") as fh:
         text = fh.read()
     assert text == REFERENCE_TEXT
-    assert cc.is_reference_instance(cc.from_text(text))
+    assert cc.from_text(text) == cc.reference_instance()
 
 
 def test_construct_paper_example_q_mismatch(capsys):
@@ -108,14 +108,15 @@ def test_construct_explicit_arc_unit_trace(capsys):
 
 def test_construct_greedy_is_an_unknown_strategy(capsys):
     # an arc other than the built-in ones is an explicit list; "greedy" is
-    # no strategy name, so it is refused at once at every q
-    for q in (4, 16, 256):
+    # no strategy name, so it is refused at once at every q.  Nor is
+    # "explicit": the list itself is the arc
+    for name, q in (("greedy", 4), ("greedy", 16), ("greedy", 256), ("explicit", 5)):
         t0 = time.perf_counter()
-        assert main(["construct", "--q", str(q), "--lambda", "greedy"]) == 1
+        assert main(["construct", "--q", str(q), "--lambda", name]) == 1
         assert time.perf_counter() - t0 < 1.0, q
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: unknown arc strategy 'greedy'\n"
+        assert captured.err == f"error: unknown arc strategy '{name}'\n"
 
 
 def test_construct_lambda_list_takes_the_integer_list_rule(capsys):
@@ -227,6 +228,34 @@ def test_decode_ml_method(ref_path, capsys):
                  "--method", "ml"]) == 0
     assert capsys.readouterr().out == (
         "codeword=1,1,1,1,1,1\nmessage=0,3\ncorrected=5\ntie=no\n")
+
+
+def test_decode_prints_one_way_for_both_methods(tmp_path, capsys):
+    # both methods print the codeword, its message and the positions where
+    # it differs from the word through one path; ML adds its tie flag
+    path = tmp_path / "q5.code"
+    assert main(["construct", "--q", "5", "--out", str(path)]) == 0
+    assert main(["decode", "--code", str(path), "--word", "1,2,3,4,0,1",
+                 "--method", "ml"]) == 0
+    assert capsys.readouterr().out == (
+        "codeword=1,2,2,4,4,1\nmessage=21,3\ncorrected=2,4\ntie=yes\n")
+    # a word within the radius: the same three lines by either method
+    spec = cc.construct_code(8)
+    path.write_text(cc.to_text(spec))
+    rng = random.Random("cli-decode:8")
+    m = (rng.randrange(64), rng.choice(spec.s))
+    w = cc.encode(spec, m)
+    r = list(w)
+    errors = sorted(rng.sample(range(spec.N), (spec.N - 3) // 2))
+    for pos in errors:
+        r[pos] = spec.tower.q_add(r[pos], rng.randrange(1, 8))
+    lines = (f"codeword={','.join(map(str, w))}\nmessage={m[0]},{m[1]}\n"
+             f"corrected={','.join(map(str, errors))}\n")
+    word = ["decode", "--code", str(path), "--word", ",".join(map(str, r))]
+    assert main(word) == 0
+    assert capsys.readouterr().out == lines
+    assert main([*word, "--method", "ml"]) == 0
+    assert capsys.readouterr().out == lines + "tie=no\n"
 
 
 def test_decode_ml_past_the_enumeration_budget(tmp_path, capsys):

@@ -27,7 +27,7 @@ from hermitian_mds import code as cc
 from hermitian_mds import geometry
 from hermitian_mds.fields import FieldError, FieldTower, factor_prime_power, tower_for_q
 from hermitian_mds.linalg import rank, rref
-from test_geometry import LUNELLI_SCE_Q16
+from test_geometry import HYPEROVAL_Q4, LUNELLI_SCE_Q16
 
 
 def enumerate_codewords(spec):
@@ -52,8 +52,8 @@ def test_reference_instance_shape(ref):
     assert ref.lam == cc.REFERENCE_Q5_LAMBDA
     assert ref.s == [0, 1, 2, 3, 4]
     assert ref.s0 == 0
-    assert cc.is_reference_instance(ref)
-    assert not cc.is_reference_instance(cc.construct_code(5))
+    assert ref == cc.reference_instance()
+    assert cc.construct_code(5) != cc.reference_instance()
 
 
 def test_form_eval_trivial(ref):
@@ -200,8 +200,7 @@ COUNTED_INSTANCES = {
     **{f"q{q}-unit-trace": functools.partial(cc.construct_code, q, s_strategy="unit_trace")
        for q in (3, 5, 7, 9, 11, 13)},
     # the Lunelli-Sce hyperoval, the first full-size arc in depth-first order
-    "q16-greedy": functools.partial(cc.construct_code, 16, "explicit",
-                                    arc_values=LUNELLI_SCE_Q16),
+    "q16-greedy": functools.partial(cc.construct_code, 16, LUNELLI_SCE_Q16),
     "q7-first-5": short_arc_q7,
 }
 
@@ -495,7 +494,7 @@ def test_from_text_extension_field():
 
 def test_construct_code_validates_once(monkeypatch):
     # build_lambda and build_transversal validate nothing they return,
-    # explicit values included; CodeSpec is the one gate, so each instance runs one arc
+    # explicit arcs included; CodeSpec is the one gate, so each instance runs one arc
     # check and one transversal check, and takes the trace of each element
     # of S once
     calls = []
@@ -519,12 +518,11 @@ def test_construct_code_validates_once(monkeypatch):
     transversal = counting("transversal", geometry.validate_transversal)
     monkeypatch.setattr(geometry, "validate_transversal", transversal)
     monkeypatch.setattr(cc, "validate_transversal", transversal)  # imported by name
-    for q, arc, s, values in ((5, None, None, None), (7, "norm_circle", "unit_trace", None),
-                              (4, None, None, None), (8, "hyperoval", "unit_trace", None),
-                              (9, None, "subfield", None),
-                              (16, "explicit", None, LUNELLI_SCE_Q16)):
+    for q, arc, s in ((5, None, None), (7, "norm_circle", "unit_trace"),
+                      (4, None, None), (8, "hyperoval", "unit_trace"),
+                      (9, None, "subfield"), (16, LUNELLI_SCE_Q16, None)):
         calls.clear()
-        spec = cc.construct_code(q, arc_strategy=arc, s_strategy=s, arc_values=values)
+        spec = cc.construct_code(q, arc, s_strategy=s)
         assert sorted(calls) == ["arc", "transversal"], (q, arc, s)
         # q traces for S, three for the trace pairing on {1, eps}
         traced.clear()
@@ -544,10 +542,20 @@ def test_every_norm_circle_is_the_unit_circle_scaled():
             scaled = [F.mul(a, u) for u in unit.lam]
             circle = F.norm_circle(c)
             assert sorted(scaled) == circle, (q, c)
-            G = cc.generator_matrix(cc.construct_code(q, "explicit", arc_values=circle))
+            G = cc.generator_matrix(cc.construct_code(q, circle))
             columns = [circle.index(u) for u in scaled]
             permuted = [[row[j] for j in columns] for row in G]
             assert rref(F, permuted)[0] == cc.generator_matrix(unit), (q, c)
+
+
+def test_construct_code_takes_the_arc_it_is_given():
+    # the arc is one argument, a strategy name or the elements; elements, a
+    # list or a tuple, come back as the arc in their order
+    for q, arc in ((4, HYPEROVAL_Q4), (16, LUNELLI_SCE_Q16), (5, (1, 7, 8, 22, 23)),
+                   (4, tuple(reversed(HYPEROVAL_Q4)))):
+        assert cc.construct_code(q, arc).lam == list(arc), (q, arc)
+    with pytest.raises(ValueError, match="unknown arc strategy 'explicit'"):
+        cc.construct_code(5, "explicit")
 
 
 def test_construct_code_defaults(specs):
@@ -555,8 +563,7 @@ def test_construct_code_defaults(specs):
     assert specs[4].N == 6  # the hyperoval reaches q+2
     assert specs[9].N == 10
     assert specs[8].N == 10
-    explicit = cc.construct_code(5, arc_strategy="explicit",
-                                 arc_values=[1, 4, 11, 12, 18, 19])
+    explicit = cc.construct_code(5, [1, 4, 11, 12, 18, 19])
     assert explicit.lam == [1, 4, 11, 12, 18, 19]
     custom = cc.CodeSpec(FieldTower(5, gq2=[2, 4, 1]), cc.REFERENCE_Q5_LAMBDA, range(5))
-    assert cc.is_reference_instance(custom)
+    assert custom == cc.reference_instance()

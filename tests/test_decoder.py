@@ -451,12 +451,12 @@ def test_geometric_decode_exhaustive_n5():
     # the q=4 hyperoval, and a q=5 arc
     hyperoval = cc.construct_code(4).lam
     for lam in itertools.combinations(hyperoval, 5):
-        check_exhaustive_against_ml(cc.construct_code(4, "explicit", arc_values=lam))
-    check_exhaustive_against_ml(cc.construct_code(5, "explicit", arc_values=[1, 7, 8, 22, 23]))
+        check_exhaustive_against_ml(cc.construct_code(4, lam))
+    check_exhaustive_against_ml(cc.construct_code(5, [1, 7, 8, 22, 23]))
 
 
 def test_geometric_decode_pinned_n9():
-    spec = cc.construct_code(9, "explicit", arc_values=[1, 2, 13, 17, 26, 41, 43, 77, 79])
+    spec = cc.construct_code(9, [1, 2, 13, 17, 26, 41, 43, 77, 79])
     r = (3, 8, 7, 5, 4, 2, 1, 1, 6)
     best, tie = dec.ml_decode(spec, r)
     assert hamming_distance(best, r) == 3 == (spec.N - 3) // 2 and not tie
@@ -647,7 +647,7 @@ def test_geometric_decode_on_the_non_conic_q16_arc():
     # odd ones uniform and even ones a codeword plus 0..t+2 errors, it
     # returns ML's codeword when that lies within t of the word, and FAIL
     # otherwise
-    spec = cc.construct_code(16, "explicit", arc_values=LUNELLI_SCE_Q16)
+    spec = cc.construct_code(16, LUNELLI_SCE_Q16)
     F, N, t = spec.tower, spec.N, (spec.N - 3) // 2
     assert (N, t) == (18, 7)
     rng = random.Random("non-conic:16")
@@ -674,7 +674,8 @@ def test_ml_decode(ref):
     for m in [(0, 0), (3, 1), (17, 4)]:
         w = cc.encode(ref, m)
         assert dec.ml_decode(ref, w) == (w, False)
-    word, msg, tie = dec.ml_decode_message(ref, cc.encode(ref, (17, 4)))
+    word, tie = dec.ml_decode(ref, cc.encode(ref, (17, 4)))
+    msg = cc.plane_to_message(ref, cc.codeword_to_plane(ref, word))
     assert msg == (17, 4) and not tie
 
 

@@ -9,7 +9,7 @@ at q=3 and q=4 and on seeded subsets up to the size bound beyond.  The
 hyperoval (unit circle plus 0) is checked for size q+2 at every even
 q <= 128; the pinned Lunelli-Sce q=16 hyperoval is checked to be no conic
 plus a point, against the default one, which is.  build_lambda validates
-no arc, explicit values included (CodeSpec is the gate), so every arc
+no arc, explicit elements included (CodeSpec is the gate), so every arc
 these tests build is checked with arc_condition_holds.
 """
 
@@ -109,13 +109,14 @@ def test_arc_condition_matches_collinearity():
 
 
 def test_build_lambda_explicit(f5p):
-    lam = build_lambda(f5p, "explicit", values=REFERENCE_LAMBDA)
+    lam = build_lambda(f5p, REFERENCE_LAMBDA)
     assert lam == REFERENCE_LAMBDA  # order preserved
     # not checked here: CodeSpec rejects a non-arc, as any arc it is given
-    assert build_lambda(f5p, "explicit", values=(0, 1, 2)) == [0, 1, 2]
+    assert build_lambda(f5p, (0, 1, 2)) == [0, 1, 2]
     with pytest.raises(ValueError, match="arc condition fails"):
         cc.CodeSpec(f5p, [0, 1, 2], range(5))
-    with pytest.raises(ValueError):
+    # a list is the arc itself; "explicit" is no strategy
+    with pytest.raises(ValueError, match="unknown arc strategy 'explicit'"):
         build_lambda(f5p, "explicit")
 
 
@@ -150,7 +151,7 @@ def test_pinned_arcs_pass_at_the_size_bound():
     for q, values in ((4, HYPEROVAL_Q4), (16, LUNELLI_SCE_Q16)):
         F = tower_for_q(q)
         assert len(values) == arc_size_bound(F) and arc_condition_holds(F, values), q
-        assert build_lambda(F, "explicit", values) == values
+        assert build_lambda(F, values) == values
 
 
 def test_build_lambda_hyperoval():
@@ -186,7 +187,7 @@ def test_greedy_q16_arc_is_not_a_conic_plus_a_point():
     # is the unit circle, a conic, and with 0 kept no conic holds the
     # other 17.
     F = tower_for_q(16)
-    irregular = [F.decompose(u) for u in build_lambda(F, "explicit", LUNELLI_SCE_Q16)]
+    irregular = [F.decompose(u) for u in build_lambda(F, LUNELLI_SCE_Q16)]
     assert [conic_rank(F, irregular[:i] + irregular[i + 1:]) for i in range(18)] == [6] * 18
     regular = [F.decompose(u) for u in build_lambda(F, "hyperoval")]
     assert regular[0] == (0, 0)

@@ -17,7 +17,8 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     factor) on every word at q=4 and q=5, and on 200 seeded words each at
     q = 7, 8, 9, 13, 16: half a codeword plus 0..t+2 errors, half uniform;
     also on every word of the N=5 arcs N5_ARCS and on 400 seeded words of
-    the N=9 arc N9_ARC (seeds "<q>:<lambda>:<i>");
+    the N=9 arc N9_ARC (seeds "<q>:<lambda>:<i>"), each built as a
+    CodeSpec with the default transversal;
   - ml_decode (codeword, tie flag) on every word at q=4 and q=5 and on the
     same seeded words at q = 7, 8, 9, 13, 16;
   - both decoders on every coset representative at q=7, the 16 807 words
@@ -53,6 +54,10 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
   - stdout, stderr and exit code of a fixed list of CLI invocations:
     `weights` at every prime power q <= 49 and on the reference instance,
     `verify` at q = 4, 8, 13 and 16 and on the reference instance;
+    `decode` by both methods on a few fixed words and on those of
+    cli_decode_cases: the q=5 ML tie `1,2,3,4,0,1`, 10 seeded words each
+    at q = 8, 13 and 16, half within the radius and half beyond, and a
+    word of the wrong length;
     `construct` with the explicit full-size arcs `--lambda 0,1,4,6,9,10`
     at q=4 and the Lunelli-Sce hyperoval LUNELLI_SCE_Q16 at q=16, so that
     explicit arcs stay compared where they are no default; also
@@ -84,6 +89,12 @@ SUPPORTED_QS = tuple(q for q in range(2, 257)
                             for d in range(2, q + 1)) == 1)
 N5_ARCS = ((4, (0, 1, 8, 10, 14)), (5, (1, 7, 8, 22, 23)))
 N9_ARC = (9, (1, 2, 13, 17, 26, 41, 43, 77, 79))
+
+
+def explicit_arc_spec(cc, q, lam):
+    # CodeSpec takes an arc the same way in every checkout; construct_code does not
+    F = cc.tower_for_q(q)
+    return cc.CodeSpec(F, lam, cc.build_transversal(F, "subfield" if q % 2 else "unit_trace"))
 
 
 def emit_decoder(cc, dec, out):
@@ -125,11 +136,11 @@ def emit_decoder(cc, dec, out):
     # N = 5 and N = 9 arcs, where a basis-dependent factor test could miss
     # words within the radius
     for q, lam in N5_ARCS:
-        spec = cc.construct_code(q, "explicit", arc_values=lam)
+        spec = explicit_arc_spec(cc, q, lam)
         for r in itertools.product(range(q), repeat=spec.N):
             out(f"decode q={q} lambda={lam} r={r}", show, spec, r)
     q, lam = N9_ARC
-    spec = cc.construct_code(q, "explicit", arc_values=lam)
+    spec = explicit_arc_spec(cc, q, lam)
     for r in seeded(spec, f"{q}:{lam}", 400):
         out(f"decode q={q} lambda={lam} r={r}", show, spec, r)
 
@@ -345,6 +356,26 @@ CLI_CASES = (
 )
 
 
+def cli_decode_cases(cc):
+    """decode by both methods: the q=5 ML tie, 10 seeded words each at
+    q = 8, 13 and 16 (even i a codeword plus 0..t errors, odd i plus t+1 or
+    t+2; seeds "cli-decode:<q>:<i>") and a word of the wrong length."""
+    words = [("q5.code", "1,2,3,4,0,1")]
+    for q in (8, 13, 16):
+        spec = cc.construct_code(q)
+        t = (spec.N - 3) // 2
+        for i in range(10):
+            rng = random.Random(f"cli-decode:{q}:{i}")
+            r = list(cc.encode(spec, (rng.randrange(q * q), spec.s[rng.randrange(q)])))
+            errors = rng.randrange(t + 1) if i % 2 == 0 else t + 1 + rng.randrange(2)
+            for pos in rng.sample(range(spec.N), errors):
+                r[pos] = spec.tower.q_add(r[pos], rng.randrange(1, q))
+            words.append((f"q{q}.code", ",".join(map(str, r))))
+    words.append(("ref.code", "1,1,1"))
+    return [["decode", "--code", path, "--word", word, "--method", method]
+            for method in ("geometric", "ml") for path, word in words]
+
+
 def emit_cli(cc, dec, out):
     from hermitian_mds.cli import main
 
@@ -358,7 +389,7 @@ def emit_cli(cc, dec, out):
         cwd = os.getcwd()
         os.chdir(tmp)  # instance files are named relative to it
         try:
-            for argv in CLI_FILES + CLI_CASES:
+            for argv in CLI_FILES + CLI_CASES + cli_decode_cases(cc):
                 out("cli " + " ".join(argv), run, argv)
         finally:
             os.chdir(cwd)
