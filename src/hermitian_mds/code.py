@@ -27,8 +27,10 @@ distance and the common zeros, are counted from the planes: the codeword
 of (c1, c2, c0) has weight N - k, k the number of i with
 c1*lam_i^1 + c2*lam_i^2 + c0 = 0, and plane_agreements counts k for every
 c0 of one (c1, c2) in one pass over its section.  `verify` checks
-every symbol of every codeword against form_eval (literal-form) and counts
-the pairwise zeros over every message, the scans ENUMERATION_BUDGET bounds.
+every symbol of every codeword against the five-term form, each term
+evaluated once per x, per y or per lam (literal_form_holds), and counts
+the pairwise zeros over every message with form_eval: the two scans
+ENUMERATION_BUDGET bounds.
 
 Messages are planes: (c1, c2) is the trace pairing of {1, eps} applied to
 x's components, and plane_to_codeword is GF(q)-linear, so sums and
@@ -232,7 +234,8 @@ def plane_agreements(spec: CodeSpec, r):
 def form_eval(spec: CodeSpec, lam_val: int, x: int, y: int) -> int:
     """Evaluate one coordinate form at (x, y): the paper's definition of a
     symbol, the literal five-term X^{q+1} + Y^q + Y + lam^q X^q + lam X at
-    (x, y, 1), used by pairwise_intersection_count and by `verify`."""
+    (x, y, 1), used by pairwise_intersection_count; literal_form_holds
+    evaluates the same terms once each."""
     F = spec.tower
     return F.add(
         F.add(F.add(F.pow(x, F.q + 1), F.pow(y, F.q)), y),
@@ -261,6 +264,26 @@ def iter_messages(spec: CodeSpec):
     for x in spec.tower.elements():
         for y in spec.s:
             yield (x, y)
+
+
+def literal_form_holds(spec: CodeSpec) -> bool:
+    """Whether every symbol of every codeword is the five-term form of
+    form_eval at (x, y, 1), evaluated term by term with its pow, mul and add:
+    lam^q once per arc element, y^q + y once per y in S, and x^{q+1} and
+    lam^q x^q + lam x once per x.  It walks iter_messages, so the budget
+    stops it before any term of x is evaluated."""
+    F, q = spec.tower, spec.tower.q
+    lam_q = [(lam, F.pow(lam, q)) for lam in spec.lam]
+    trace_y = {y: F.add(F.pow(y, q), y) for y in spec.s}
+    last_x = None
+    for x, y in iter_messages(spec):
+        if x != last_x:
+            last_x, xq, norm_x = x, F.pow(x, q), F.pow(x, q + 1)
+            linear = [F.add(F.mul(lq, xq), F.mul(lam, x)) for lam, lq in lam_q]
+        head = F.add(norm_x, trace_y[y])
+        if encode(spec, (x, y)) != tuple(F.add(head, t) for t in linear):
+            return False
+    return True
 
 
 def generator_matrix(spec: CodeSpec) -> list:

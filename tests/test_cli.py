@@ -132,6 +132,25 @@ def test_construct_lambda_list_takes_the_integer_list_rule(capsys):
     assert captured.err == "error: arc elements must be canonical GF(q^2) integers\n"
 
 
+def test_list_values_may_start_with_a_minus(ref_path, capsys):
+    # argparse reads "-1,4" as an unknown option, so "--lambda -1,4" used to
+    # exit with "expected one argument"; it is a value, as "--lambda=-1,4" is,
+    # and reaches the list parser, which names what is wrong with it
+    for argv, err in (
+        (["construct", "--q", "4", "--lambda", "-1,4"],
+         "arc elements must be canonical GF(q^2) integers"),
+        (["encode", "--code", ref_path, "--message", "-1,0"],
+         "message (-1, 0) outside the domain GF(q^2) x S"),
+        (["decode", "--code", ref_path, "--word", "-1,0,0,0,0,0"],
+         "symbols must be canonical GF(q) integers"),
+    ):
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        for form in (argv, joined):
+            assert main(form) == 1, form
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {err}\n"), form
+
+
 def test_construct_even_q_hyperoval_default(capsys):
     # the default even-q arc is the hyperoval, q+2 points; at q=2 and q=8 it
     # is the first full-size arc in depth-first integer order
@@ -290,8 +309,14 @@ def test_decode_ml_past_the_enumeration_budget(tmp_path, capsys):
         assert [row.split()[0] for row in table] == [str(i) for i in range(spec.N + 1)]
         assert all(row.split()[1] == row.split()[2] for row in table), q
         assert elapsed < budget_s, f"weights at q={q} took {elapsed:.2f} s"
+    # the rows before the first scan are cheap and no scan evaluates a term
+    # of x before its budget check, so verify stops at once: 0.17 s on a
+    # 2-core box, where the literal-form terms of every x would take 1.1 s
+    t0 = time.perf_counter()
     assert main(["verify", "--code", str(tmp_path / "q103.code")]) == 1
+    elapsed = time.perf_counter() - t0
     assert capsys.readouterr().err == "error: enumeration budget exceeded for q=103\n"
+    assert elapsed < 1.0, f"verify at q=103 took {elapsed:.2f} s to stop"
 
 
 def test_decode_failure_exit_code(ref_path, capsys):

@@ -118,6 +118,44 @@ def test_encode_is_the_hermitian_form_seeded(q):
         assert cc.encode(spec, (x, y)) == literal, (q, x, y)
 
 
+def literal_form_reference(spec):
+    """The literal-form scan as verify ran it before literal_form_holds: one
+    form_eval per symbol of every codeword."""
+    return all(cc.encode(spec, m) == tuple(cc.form_eval(spec, lam, *m) for lam in spec.lam)
+               for m in cc.iter_messages(spec))
+
+
+LITERAL_FORM_SPECS = {
+    **{f"q{q}": functools.partial(cc.construct_code, q) for q in (2, 3, 4, 5, 7, 8, 9)},
+    "paper": cc.reference_instance,
+    "q16-lunelli-sce": functools.partial(cc.construct_code, 16, LUNELLI_SCE_Q16),
+}
+
+
+@pytest.mark.parametrize("name", LITERAL_FORM_SPECS)
+def test_literal_form_holds_matches_the_reference(name):
+    spec = LITERAL_FORM_SPECS[name]()
+    assert cc.literal_form_holds(spec) is literal_form_reference(spec) is True
+
+
+@pytest.mark.parametrize("name", ("q4", "paper", "q7", "q8"))
+def test_literal_form_holds_sees_one_wrong_symbol(name, monkeypatch):
+    # one symbol of one codeword is moved off the form: a seeded message with
+    # x != 0, y != s0 at a seeded position >= 1, then the last symbol of the
+    # last message in iter_messages order.  Both scans must say False
+    spec = LITERAL_FORM_SPECS[name]()
+    F, encode = spec.tower, cc.encode
+    rng = random.Random(f"literal-mutant:{name}")
+    middle = (rng.randrange(1, F.q2), rng.choice([y for y in spec.s if y != spec.s0]))
+    for bad, pos in ((middle, rng.randrange(1, spec.N)), ((F.q2 - 1, spec.s[-1]), spec.N - 1)):
+        def corrupted(spec, m, bad=bad, pos=pos):
+            w = encode(spec, m)
+            return w if m != bad else w[:pos] + (F.q_add(w[pos], 1),) + w[pos + 1:]
+
+        monkeypatch.setattr(cc, "encode", corrupted)
+        assert cc.literal_form_holds(spec) is literal_form_reference(spec) is False, bad
+
+
 def test_encode_reference_values(ref):
     assert cc.encode(ref, (0, 0)) == (0,) * 6
     assert cc.encode(ref, (0, 3)) == (1,) * 6
@@ -178,13 +216,16 @@ def test_encode_injective(specs, ref):
 
 def test_enumeration_budget(monkeypatch):
     # one check in iter_messages guards every scan over all of Omega,
-    # pairwise_intersection_count's among them, before its first message
+    # pairwise_intersection_count's and literal_form_holds' among them,
+    # before its first message
     monkeypatch.setattr(cc, "ENUMERATION_BUDGET", 100)
     spec = cc.construct_code(5)
     with pytest.raises(ValueError, match="enumeration budget exceeded for q=5"):
         next(cc.iter_messages(spec))
     with pytest.raises(ValueError, match="enumeration budget exceeded for q=5"):
         cc.pairwise_intersection_count(spec, spec.lam[0], spec.lam[1])
+    with pytest.raises(ValueError, match="enumeration budget exceeded for q=5"):
+        cc.literal_form_holds(spec)
 
 
 def short_arc_q7():

@@ -53,7 +53,10 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
   - run_simulation at q = 4, 5, 7, 8, with the messages it encodes;
   - stdout, stderr and exit code of a fixed list of CLI invocations:
     `weights` at every prime power q <= 49 and on the reference instance,
-    `verify` at q = 4, 8, 13 and 16 and on the reference instance;
+    `verify` at q = 4, 7, 8, 9, 11, 13 and 16, on the reference instance
+    (the --paper-example file), on the Lunelli-Sce hyperoval LUNELLI_SCE_Q16
+    and on the q=7 norm-2 circle of NORM_2_CIRCLES, those two files written
+    by `construct --lambda <list> --out`;
     `decode` by both methods on a few fixed words and on those of
     cli_decode_cases: the q=5 ML tie `1,2,3,4,0,1`, 10 seeded words each
     at q = 8, 13 and 16, half within the radius and half beyond, and a
@@ -65,7 +68,7 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     the five that are no prime power) and every prime power q <= 256, with
     the explicit norm-2 circles NORM_2_CIRCLES at q = 7 and 16, and with
     the explicit non-arc `--lambda 0,1,2` at q = 5.
-The two children run side by side; the whole run takes 20-45 s on a
+The two children run side by side; the whole run takes 20-55 s on a
 2-core box under Python 3.11, depending on the host's CPU speed state.
 
 Stdlib only.
@@ -313,7 +316,11 @@ NORM_2_CIRCLES = {
 }
 
 CLI_FILES = [["construct", "--paper-example", "--out", "ref.code"]] + [
-    ["construct", "--q", str(q), "--out", f"q{q}.code"] for q in WEIGHTS_QS]
+    ["construct", "--q", str(q), "--out", f"q{q}.code"] for q in WEIGHTS_QS] + [
+    ["construct", "--q", "16", "--lambda", ",".join(map(str, LUNELLI_SCE_Q16)),
+     "--out", "q16-lunelli-sce.code"],
+    ["construct", "--q", "7", "--lambda", ",".join(map(str, NORM_2_CIRCLES[7])),
+     "--out", "q7-norm2.code"]]
 
 CLI_CASES = (
     [["construct", "--q", str(q)] for q in range(2, 17)]  # 6, 10, 12, 14, 15: exit 1
@@ -342,12 +349,10 @@ CLI_CASES = (
     ]
     + [["weights", "--code", "ref.code"]]
     + [["weights", "--code", f"q{q}.code"] for q in WEIGHTS_QS]
+    + [["verify", "--code", f"{name}.code"]
+       for name in ("ref", "q4", "q7", "q8", "q9", "q11", "q13", "q16",
+                    "q16-lunelli-sce", "q7-norm2")]
     + [
-        ["verify", "--code", "ref.code"],
-        ["verify", "--code", "q4.code"],
-        ["verify", "--code", "q8.code"],
-        ["verify", "--code", "q13.code"],
-        ["verify", "--code", "q16.code"],
         ["simulate", "--code", "ref.code", "--errors", "1", "--trials", "30", "--seed", "3"],
         ["simulate", "--code", "ref.code", "--errors", "2", "--trials", "30", "--seed", "3"],
         ["simulate", "--code", "q7.code", "--errors", "3", "--trials", "30", "--seed", "1"],
