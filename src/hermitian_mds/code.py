@@ -19,14 +19,14 @@ encode reads it off a per-spec table built on its first call: for each x
 the direction row and scale table of (T(x), T(eps*x)) and norm(x), and
 for each y in S the shift tables of norm + T(y), a map that is also the
 domain check of y.  So an encode is two translates; construct, the
-decoders and the plane loop never build that table.  message_to_plane
+decoders and the counts never build that table.  message_to_plane
 computes the same plane from the definitions, as plane_to_message
 inverts it.  The resulting code is q-ary, has q^3 words, dimension 3 and
 minimum distance N-2; none of that is assumed.  The weights, and with them |C| = q^3, the
-distance and the common zeros, are counted from the planes: the codeword
-of (c1, c2, c0) has weight N - k, k the number of i with
-c1*lam_i^1 + c2*lam_i^2 + c0 = 0, and plane_agreements counts k for every
-c0 of one (c1, c2) in one pass over its section.  `verify` checks
+distance and the common zeros, are counted from the q + 1 direction
+sections (_direction_counts): a nonzero codeword is a nonzero constant or
+s*row + c0, s != 0 and row the section of (c1, c2, 0) for one (c1 : c2),
+with zeros where row = -c0/s.  `verify` checks
 every symbol of every codeword against the five-term form, each term
 evaluated once per x, per y or per lam (literal_form_holds), and counts
 the pairwise zeros over every message with form_eval: the two scans
@@ -213,18 +213,12 @@ def codeword_to_plane(spec: CodeSpec, w):
     return tuple(row[3] for row in R[:3])
 
 
-def plane_agreements(spec: CodeSpec, r):
-    """For each (c1, c2) in GF(q)^2, in order: c1, c2 and a Counter mapping
-    c0 to the number of i with r_i = c1*lam_i^1 + c2*lam_i^2 + c0, where
-    the plane z = c1*x + c2*y + c0 agrees with r; a c0 that agrees nowhere
-    is absent.  With r = 0 that is the zero count of (c1, c2, c0)'s word."""
-    F = spec.tower
-    neg, plus_r = F.q_neg_table, [F.q_add_table[c] for c in r]
-    for c1 in range(F.q):
-        for c2 in range(F.q):
-            # r_i plus symbol i of the section by (-c1, -c2, 0)
-            section = plane_to_codeword(spec, (neg[c1], neg[c2], 0))
-            yield c1, c2, Counter(map(getitem, plus_r, section))
+def _direction_counts(spec: CodeSpec):
+    """For each (c1 : c2) of PG(1, q), (1 : 0) first and then (t : 1) for t
+    in GF(q): c1, c2 and the Counter of the section of (c1, c2, 0), which
+    maps v to the number of i with c1*lam_i^1 + c2*lam_i^2 = v."""
+    for c1, c2 in [(1, 0), *((t, 1) for t in range(spec.tower.q))]:
+        yield c1, c2, Counter(plane_to_codeword(spec, (c1, c2, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +308,20 @@ def weight_distribution(spec: CodeSpec, method: str = "enumerate"):
     """Map i -> number of codewords of weight i, for i in 0..N.
 
     "enumerate" covers all q^3 codewords by their zero counts, without
-    building a word: for each (c1, c2), the codeword of (c1, c2, c0) has
-    weight N - k for each c0 the plane_agreements Counter of 0 maps to k,
-    and weight N for each of the q - len(Counter) values of c0 it lacks.
+    building a word: the zero word, the q - 1 nonzero constants (weight N)
+    and, for each s != 0, s times the section of (c1 : c2) plus c0, whose
+    weight is N - k for each value its _direction_counts Counter maps to k
+    and N for each of the q - len(Counter) values that Counter lacks.
     "formula" is the MDS weight distribution (MacWilliams-Sloane ch. 11).
     """
     N, q = spec.N, spec.tower.q
     if method == "enumerate":
         counts = {i: 0 for i in range(N + 1)}
-        for _c1, _c2, zeros in plane_agreements(spec, (0,) * N):
-            for k in zeros.values():
-                counts[N - k] += 1
-            counts[N] += q - len(zeros)
+        counts[0], counts[N] = 1, q - 1
+        for _c1, _c2, values in _direction_counts(spec):
+            for k in values.values():
+                counts[N - k] += q - 1
+            counts[N] += (q - len(values)) * (q - 1)
         return counts
     if method == "formula":
         counts = {i: 0 for i in range(N + 1)}
@@ -395,12 +391,14 @@ def pairwise_intersection_count(spec: CodeSpec, lam1: int, lam2: int) -> int:
 
 
 def common_zero_set(spec: CodeSpec):
-    """Messages at which every coordinate form vanishes: those of the planes
-    that agree with 0 at all N positions."""
-    N = spec.N
-    return {plane_to_message(spec, (c1, c2, c0))
-            for c1, c2, zeros in plane_agreements(spec, (0,) * N)
-            for c0, k in zeros.items() if k == N}
+    """Messages at which every coordinate form vanishes: those of the zero
+    plane and of s*(c1, c2, -v) for s != 0, wherever the section of
+    direction (c1 : c2) is the constant v."""
+    mul, neg = spec.tower.q_mul_table, spec.tower.q_neg_table
+    return {plane_to_message(spec, (0, 0, 0)), *(
+        plane_to_message(spec, (row[c1], row[c2], row[neg[v]]))
+        for c1, c2, values in _direction_counts(spec) if len(values) == 1
+        for v in values for row in mul[1:])}
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,10 @@ read off in closed form.
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import getitem
 
 from .code import (
     CodeSpec,
-    plane_agreements,
     plane_to_codeword,
     plane_to_message,
     validate_word,
@@ -258,16 +258,22 @@ def geometric_decode(spec: CodeSpec, r):
 
 def ml_decode(spec: CodeSpec, r):
     """Nearest codeword: the section by a plane z = c1*x + c2*y + c0 through
-    the most lifted points, whose c0 for each (c1, c2) is the most common
-    value of r_i - c1*lam_i^1 - c2*lam_i^2.  Ties break toward the
+    the most lifted points, whose c0 for each of the q^2 pairs (c1, c2) is
+    the most common value of r_i - c1*lam_i^1 - c2*lam_i^2, one Counter per
+    pair: the library's only loop over q^2 planes.  Ties break toward the
     lexicographically smallest codeword and set the tie flag."""
+    F = spec.tower
+    neg, plus_r = F.q_neg_table, [F.q_add_table[c] for c in validate_word(spec, r)]
     best, planes = 0, []
-    for c1, c2, counts in plane_agreements(spec, validate_word(spec, r)):
-        n = max(counts.values())
-        if n > best:
-            best, planes = n, []
-        if n == best:
-            planes += [(c1, c2, c0) for c0, k in counts.items() if k == n]
+    for c1 in range(F.q):
+        for c2 in range(F.q):
+            # r_i plus symbol i of the section by (-c1, -c2, 0)
+            section = plane_to_codeword(spec, (neg[c1], neg[c2], 0))
+            counts = Counter(map(getitem, plus_r, section))
+            n = max(counts.values())
+            if n > best:
+                best, planes = n, []
+            if n == best:
+                planes += [(c1, c2, c0) for c0, k in counts.items() if k == n]
     words = [plane_to_codeword(spec, plane) for plane in planes]
     return min(words), len(words) > 1
-

@@ -278,11 +278,11 @@ def test_decode_prints_one_way_for_both_methods(tmp_path, capsys):
 
 
 def test_decode_ml_past_the_enumeration_budget(tmp_path, capsys):
-    # ML decoding and the weights count planes instead of scanning the q^3
-    # codewords, so both run past q=101, where verify still stops at the
-    # enumeration budget of its scans over every message.  Measured on a
-    # 2-core box: decode 0.06 s at q=103 and 0.8 s at q=256, weights 0.07 s
-    # and 0.9 s
+    # ML decoding counts the q^2 planes and the weights the q + 1 direction
+    # sections instead of scanning the q^3 codewords, so both run past
+    # q=101, where verify still stops at the enumeration budget of its scans
+    # over every message.  Measured on a 2-core box: decode 0.06 s at q=103
+    # and 0.8 s at q=256, weights about 0.02 s at q=256
     for q, budget_s in ((103, 1.0), (256, 5.0)):
         spec = cc.construct_code(q)
         path = tmp_path / f"q{q}.code"
@@ -309,14 +309,17 @@ def test_decode_ml_past_the_enumeration_budget(tmp_path, capsys):
         assert [row.split()[0] for row in table] == [str(i) for i in range(spec.N + 1)]
         assert all(row.split()[1] == row.split()[2] for row in table), q
         assert elapsed < budget_s, f"weights at q={q} took {elapsed:.2f} s"
-    # the rows before the first scan are cheap and no scan evaluates a term
-    # of x before its budget check, so verify stops at once: 0.17 s on a
+    # the rows before the first scan are cheap (the weights read q + 1
+    # sections) and no scan evaluates a term of x before its budget check,
+    # so verify stops at once: 0.17 s at q=103 and 0.03 s at q=256 on a
     # 2-core box, where the literal-form terms of every x would take 1.1 s
-    t0 = time.perf_counter()
-    assert main(["verify", "--code", str(tmp_path / "q103.code")]) == 1
-    elapsed = time.perf_counter() - t0
-    assert capsys.readouterr().err == "error: enumeration budget exceeded for q=103\n"
-    assert elapsed < 1.0, f"verify at q=103 took {elapsed:.2f} s to stop"
+    # at q=103 and counting the weights over q^2 planes 1.9 s at q=256
+    for q in (103, 256):
+        t0 = time.perf_counter()
+        assert main(["verify", "--code", str(tmp_path / f"q{q}.code")]) == 1
+        elapsed = time.perf_counter() - t0
+        assert capsys.readouterr().err == f"error: enumeration budget exceeded for q={q}\n"
+        assert elapsed < 1.0, f"verify at q={q} took {elapsed:.2f} s to stop"
 
 
 def test_decode_failure_exit_code(ref_path, capsys):
@@ -450,6 +453,30 @@ def test_verify_distance_failure_exit_2(ref_path, capsys, monkeypatch):
     assert rows["singleton-equality"][0] == "FAIL"
     assert rows["mds-minors"][0] == "PASS"
     assert rows["verdict"] == ["FAIL"]
+
+
+def test_verify_constant_direction_section_exit_2(ref_path, capsys, monkeypatch):
+    # the weights and the common zeros are counted on the direction
+    # sections: with the section of (1, 0, 0) all zeros, each of its q - 1
+    # nonzero multiples counts as one more zero word.  The rows that read
+    # those counts fail; literal-form (encode) and mds-minors (the generator
+    # matrix) read no section and pass.  verify reports it in its table
+    section = cc.plane_to_codeword
+    bad = (1, 0, 0)
+
+    def corrupted(spec, plane):
+        return (0,) * spec.N if plane == bad else section(spec, plane)
+
+    monkeypatch.setattr(cc, "plane_to_codeword", corrupted)
+    assert main(["verify", "--code", ref_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = {line.split()[0]: line.split()[1] for line in captured.out.splitlines()}
+    for name in ("codeword-count", "common-zero-set", "weights-methods-agree"):
+        assert rows[name] == "FAIL", name
+    assert rows["literal-form"] == "PASS"
+    assert rows["mds-minors"] == "PASS"
+    assert rows["verdict"] == "FAIL"
 
 
 @pytest.mark.parametrize("params", ["p=1000000000000000003\nh=1\n",

@@ -248,8 +248,8 @@ COUNTED_INSTANCES = {
 
 @pytest.mark.parametrize("name", COUNTED_INSTANCES)
 def test_plane_counts_match_the_enumeration(name):
-    # weights, distance and zero set are counted from the plane sections;
-    # each must equal what encoding every message gives
+    # weights, distance and zero set are counted from the q + 1 direction
+    # sections; each must equal what encoding every message gives
     spec = COUNTED_INSTANCES[name]()
     words = enumerate_codewords(spec)
     weights = collections.Counter(sum(map(bool, w)) for w in words)
@@ -257,6 +257,16 @@ def test_plane_counts_match_the_enumeration(name):
     assert cc.min_distance(spec) == min(i for i in weights if i)
     assert cc.common_zero_set(spec) == {
         m for m, w in zip(cc.iter_messages(spec), words) if not any(w)}
+
+
+@pytest.mark.parametrize("q", [128, 243, 256])
+def test_direction_counts_at_the_top_of_the_range(q):
+    # past the q^3 reference: the counted weights are the MDS formula's,
+    # the distance is N - 2 and only the zero message kills every form
+    spec = cc.construct_code(q)
+    assert cc.weight_distribution(spec, "enumerate") == cc.weight_distribution(spec, "formula")
+    assert cc.min_distance(spec) == spec.N - 2
+    assert cc.common_zero_set(spec) == {(0, spec.s0)}
 
 
 def test_generator_matrix_reference_row_space(ref):

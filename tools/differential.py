@@ -45,6 +45,11 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     text for an x outside GF(q^2), a y outside S and kappa = q;
   - CodeSpec.gram_inv of construct_code(q) at every prime power q <= 256;
   - generator_matrix at every prime power q = 2..16;
+  - weight_distribution(spec, "enumerate"), min_distance and
+    common_zero_set (sorted) at every prime power q <= 64 and at q = 128
+    and 256 with the default instances, at odd q <= 13 with the unit-trace
+    transversal, on the reference instance, on the Lunelli-Sce hyperoval
+    LUNELLI_SCE_Q16 and on the first 5 points of the q=7 norm circle;
   - the moduli gq and gq2 of tower_for_q and a SHA-256 digest of each of
     its GF(q) tables (add, neg, mul, inv) at every prime power q <= 256;
   - FieldTower(p, h, gq=gq) for every monic gq at (p, h) in SUPPLIED_MODULI
@@ -68,7 +73,7 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     the five that are no prime power) and every prime power q <= 256, with
     the explicit norm-2 circles NORM_2_CIRCLES at q = 7 and 16, and with
     the explicit non-arc `--lambda 0,1,2` at q = 5.
-The two children run side by side; the whole run takes 20-55 s on a
+The two children run side by side; the whole run takes 20-80 s on a
 2-core box under Python 3.11, depending on the host's CPU speed state.
 
 Stdlib only.
@@ -236,6 +241,22 @@ def emit_generators(cc, dec, out):
     for q in PRIME_POWERS:
         G = cc.generator_matrix(cc.construct_code(q))
         out(f"generator q={q}", getattr, G, "rows", G)  # older checkouts: a MatrixFq
+
+
+def emit_counts(cc, dec, out):
+    norm_circle_q7 = cc.construct_code(7)
+    specs = [(f"q={q}", cc.construct_code(q))
+             for q in SUPPORTED_QS if q <= 64 or q in (128, 256)]
+    specs += [(f"q={q} unit_trace", cc.construct_code(q, s_strategy="unit_trace"))
+              for q in (3, 5, 7, 9, 11, 13)]
+    specs += [("reference", cc.reference_instance()),
+              ("q=16 lunelli-sce", explicit_arc_spec(cc, 16, LUNELLI_SCE_Q16)),
+              ("q=7 first-5", cc.CodeSpec(norm_circle_q7.tower, norm_circle_q7.lam[:5],
+                                          norm_circle_q7.s))]
+    for name, spec in specs:
+        out(f"weights {name}", cc.weight_distribution, spec, "enumerate")
+        out(f"min_distance {name}", cc.min_distance, spec)
+        out(f"common_zero_set {name}", lambda s: sorted(cc.common_zero_set(s)), spec)
 
 
 def tower_digest(F):
@@ -420,7 +441,7 @@ def emit(expected_src):
         print(f"{case}\t{result if isinstance(result, str) else repr(result)}")
 
     for part in (emit_decoder, emit_planes, emit_plane_sections, emit_encodes,
-                 emit_message_algebra, emit_generators, emit_towers,
+                 emit_message_algebra, emit_generators, emit_counts, emit_towers,
                  emit_supplied_moduli, emit_simulations, emit_cli):
         part(cc, dec, out)
     return 0
