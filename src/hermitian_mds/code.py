@@ -40,7 +40,6 @@ multiples of codewords are those of their planes (msg_add, msg_scale).
 import functools
 import math
 from collections import Counter
-from itertools import combinations
 from operator import getitem
 
 from .fields import FieldTower, tower_for_q
@@ -50,7 +49,7 @@ from .geometry import (
     validate_arc,
     validate_transversal,
 )
-from .linalg import rank, rref
+from .linalg import rref
 
 ENUMERATION_BUDGET = 1 << 20  # max q^3 for scans over every message
 
@@ -82,11 +81,13 @@ class CodeSpec:
     is nonzero for every irreducible gq2 (in characteristic 2 that needs
     r1 != 0); were it ever zero, q_inv would raise here.
 
-    Two tables are built on first use.  _directions, the direction row and
-    the scale of each (c1 : c2), serves every plane section.  _encode_table
-    serves encode alone: per x the row and scale of its plane and norm(x),
-    per y in S the shift tables of norm + T(y); about 1.5 MB at q=256, so
-    construct and the decoders never build it.
+    Three tables are built on first use.  _directions, the direction row
+    and the scale of each (c1 : c2), serves every plane section.
+    _encode_table serves encode alone: per x the row and scale of its plane
+    and norm(x), per y in S the shift tables of norm + T(y); about 1.5 MB at
+    q=256, so construct and the decoders never build it.  _centers, the
+    geometric decoder's q projection centers, serves every decode of the
+    spec, and each DecodeResult holds one of its tuples.
     """
 
     def __init__(self, tower: FieldTower, lam, s):
@@ -140,6 +141,19 @@ class CodeSpec:
                 F.norm_bytes(),
                 {y: list(map(shift.__getitem__, F.q_add_table[t]))
                  for t, y in self.s_by_trace.items()})
+
+    @functools.cached_property
+    def _centers(self):
+        """The geometric decoder's projection centers: the q affine points
+        (u, v, w, 1), w ascending, of the cone generator over the first
+        element (u, v) of GF(q^2), in integer order, that is off the arc."""
+        F = self.tower
+        in_arc = set(self.lam)
+        g = next((u for u in F.elements() if u not in in_arc), None)
+        if g is None:
+            raise ValueError("no projection center: the arc covers GF(q^2)")
+        u, v = F.decompose(g)
+        return tuple((u, v, w, 1) for w in range(F.q))
 
     def __eq__(self, other):
         if not isinstance(other, CodeSpec):
@@ -298,10 +312,22 @@ def is_mds(spec: CodeSpec) -> bool:
     That is the MDS property of a dimension-3 code.  It reads the
     generator matrix, not the plane sections that min_distance counts
     zeros on, so it is an independent check of min_distance(spec) == N-2.
+    The minor of columns i < j < k is c . col_k for the cross product
+    c = col_i x col_j, so one cross product per pair serves every later k.
     """
     F = spec.tower
+    add, mul, neg = F.q_add_table, F.q_mul_table, F.q_neg_table
     cols = list(zip(*generator_matrix(spec)))
-    return all(rank(F, [ci, cj, ck]) == 3 for ci, cj, ck in combinations(cols, 3))
+    for j, (b0, b1, b2) in enumerate(cols):
+        later = cols[j + 1:]
+        for a0, a1, a2 in cols[:j]:
+            # the product rows of the cross product's three entries
+            c0 = mul[add[mul[a1][b2]][neg[mul[a2][b1]]]]
+            c1 = mul[add[mul[a2][b0]][neg[mul[a0][b2]]]]
+            c2 = mul[add[mul[a0][b1]][neg[mul[a1][b0]]]]
+            if not all(add[add[c0[k0]][c1[k1]]][c2[k2]] for k0, k1, k2 in later):
+                return False
+    return True
 
 
 def weight_distribution(spec: CodeSpec, method: str = "enumerate"):

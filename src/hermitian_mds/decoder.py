@@ -19,14 +19,15 @@ returned word is always within floor((N-3)/2) of what was received.)
 
 Centers are the q affine points (u, v, w, 1) of the cone generator over
 the first point (u, v) of the plane z = 0, in integer order, that is off
-the base arc.  Every codeword plane z = c1*x + c2*y + c0*t meets that
-generator in exactly one affine point, (u, v, c1*u + c2*v + c0, 1),
-because the generator's infinite point is the cone vertex, which codeword
-planes avoid.  So one center lies in each codeword plane, and projecting
-from it sends the codeword's positions onto one line of t = 0: scanning
-the q centers reaches every codeword within the guaranteed radius.  As
-(u, v) is off the arc, no lifted point shares a generator with a center,
-so no projection lands on the vertex direction (0, 0, 1).  The soundness
+the base arc; each spec builds them once (CodeSpec._centers).  Every
+codeword plane z = c1*x + c2*y + c0*t meets that generator in exactly one
+affine point, (u, v, c1*u + c2*v + c0, 1), because the generator's
+infinite point is the cone vertex, which codeword planes avoid.  So one
+center lies in each codeword plane, and projecting from it sends the
+codeword's positions onto one line of t = 0: scanning the q centers
+reaches every codeword within the guaranteed radius.  As (u, v) is off
+the arc, no lifted point shares a generator with a center, so no
+projection lands on the vertex direction (0, 0, 1).  The soundness
 argument (any returned word is within (N-3)/2 of the received word) only
 uses the threshold count, so it is unaffected by where the center sits.
 
@@ -150,7 +151,8 @@ def fit_min_degree_curve(F, points):
     e = 1
     while not _curve_through(F, pts, e):
         e += 1
-        assert e <= F.q + 1, "fitting degree exceeded q+1"
+        if e > F.q + 1:  # raised, not asserted, so that -O keeps the guard
+            raise AssertionError("fitting degree exceeded q+1")
     return e
 
 
@@ -177,7 +179,7 @@ class DecodeResult:
     codeword: tuple
     message: tuple
     corrected_positions: tuple
-    center: tuple  # the projection center (u, v, w, 1)
+    center: tuple  # the projection center (u, v, w, 1), from spec._centers
     factor: tuple  # the heavy line of t = 0, first nonzero coefficient 1
 
 
@@ -192,33 +194,29 @@ def _cross(F, a, b):
 def _heavy_line(F, pts, need):
     """The first line through two distinct entries of pts that holds at
     least `need` entries (with repetition), normalized with its first
-    nonzero coefficient 1; None if no line is that heavy."""
+    nonzero coefficient 1; None if no line is that heavy.
+
+    A candidate line is left as soon as the entries off it, counted with
+    repetition, exceed slack = len(pts) - need, since it can then no longer
+    hold `need`.  A heavy line never exceeds it, so the first heavy line
+    in pair order is the one returned."""
     mult = Counter(pts)
     distinct = list(mult)
+    slack = len(pts) - need
     for i in range(len(distinct)):
         for j in range(i + 1, len(distinct)):
             a, b, c = L = _cross(F, distinct[i], distinct[j])
-            n = 0
+            off = 0
             for p in distinct:
                 acc = F.q_add(F.q_add(F.q_mul(a, p[0]), F.q_mul(b, p[1])), F.q_mul(c, p[2]))
-                if acc == 0:
-                    n += mult[p]
-            if n >= need:
+                if acc:
+                    off += mult[p]
+                    if off > slack:
+                        break
+            else:
                 s = F.q_inv(next(x for x in L if x))
                 return tuple(F.q_mul(s, x) for x in L)
     return None
-
-
-def _centers(spec: CodeSpec):
-    """Projection centers: the affine points of the cone generator over
-    the first direction not on the base arc."""
-    F = spec.tower
-    in_arc = set(spec.lam)
-    g = next((u for u in F.elements() if u not in in_arc), None)
-    if g is None:
-        raise ValueError("no projection center: the arc covers GF(q^2)")
-    u, v = F.decompose(g)
-    return [(u, v, w, 1) for w in range(F.q)]
 
 
 def geometric_decode(spec: CodeSpec, r):
@@ -232,7 +230,7 @@ def geometric_decode(spec: CodeSpec, r):
     lifted = lift(spec, r)
     need = (N + 4) // 2  # ceil((N+3)/2)
 
-    for P in _centers(spec):
+    for P in spec._centers:
         u, v, w, _ = P
         projs = [normalize_point(F, (F.q_sub(a, u), F.q_sub(b, v), F.q_sub(c, w)))
                  for (a, b, c, _) in lifted]
@@ -240,7 +238,9 @@ def geometric_decode(spec: CodeSpec, r):
         if L is None:
             continue
         e = fit_min_degree_curve(F, projs)
-        assert _curve_through(F, {*projs, *_line_points(F, L)[:e + 1]}, e)
+        # the paper's factor test, raised rather than asserted so -O keeps it
+        if not _curve_through(F, {*projs, *_line_points(F, L)[:e + 1]}, e):
+            raise AssertionError("the heavy line is not a component of a minimum-degree curve")
         a, b, c = L
         s = F.q_inv(c)
         d = F.q_add(F.q_add(F.q_mul(a, u), F.q_mul(b, v)), F.q_mul(c, w))

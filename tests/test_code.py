@@ -259,6 +259,37 @@ def test_plane_counts_match_the_enumeration(name):
         m for m, w in zip(cc.iter_messages(spec), words) if not any(w)}
 
 
+def is_mds_reference(spec):
+    """is_mds by definition: every 3-column minor of the generator matrix
+    has rank 3."""
+    cols = list(zip(*cc.generator_matrix(spec)))
+    return all(rank(spec.tower, minor) == 3 for minor in itertools.combinations(cols, 3))
+
+
+@pytest.mark.parametrize("name", COUNTED_INSTANCES)
+def test_is_mds_matches_the_minor_ranks(name):
+    spec = COUNTED_INSTANCES[name]()
+    assert cc.is_mds(spec) is is_mds_reference(spec) is True
+
+
+def test_is_mds_sees_a_singular_minor():
+    # five q=7 circle points and X = P1 + 2*(P3 - P1): the minor of P1, P3
+    # and X is the only one that vanishes; each rotation of the order puts
+    # its columns somewhere else, first and last column included
+    spec = cc.construct_code(7)
+    F, c = spec.tower, spec.coords
+    X = tuple(F.q_add(a, F.q_mul(2, F.q_sub(b, a))) for a, b in zip(c[1], c[3]))
+    points = [c[0], c[1], X, c[2], c[3], c[4]]
+    for k in range(len(points)):
+        coords = points[k:] + points[:k]
+        shape = types.SimpleNamespace(tower=F, coords=coords, N=len(coords))
+        cols = list(zip(*cc.generator_matrix(shape)))
+        singular = [ijk for ijk in itertools.combinations(range(len(cols)), 3)
+                    if rank(F, [cols[i] for i in ijk]) < 3]
+        assert [{coords[i] for i in ijk} for ijk in singular] == [{c[1], c[3], X}]
+        assert cc.is_mds(shape) is is_mds_reference(shape) is False
+
+
 @pytest.mark.parametrize("q", [128, 243, 256])
 def test_direction_counts_at_the_top_of_the_range(q):
     # past the q^3 reference: the counted weights are the MDS formula's,

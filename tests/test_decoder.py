@@ -13,7 +13,12 @@ covered up to the decoder's symmetry.
 
 import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -126,7 +131,7 @@ def test_project_from_external_center_never_hits_vertex_direction(ref, spec7, mo
     rng = random.Random(4)
     for spec in (ref, spec7):
         F = spec.tower
-        for P in dec._centers(spec):
+        for P in spec._centers:
             assert (P[0], P[1]) not in spec.coords
         for _ in range(10):
             r = tuple(rng.randrange(F.q) for _ in range(spec.N))
@@ -162,7 +167,7 @@ def test_one_heavy_line_per_center(ref):
         coords = [F.decompose(l) for l in spec.lam]
         found = 0
         for r in words:
-            for u, v, w, _ in dec._centers(spec):
+            for u, v, w, _ in spec._centers:
                 projs = [dec.normalize_point(F, (F.q_sub(a, u), F.q_sub(b, v), F.q_sub(c, w)))
                          for (a, b), c in zip(coords, r)]
                 mult = collections.Counter(projs)
@@ -190,6 +195,22 @@ def test_one_heavy_line_per_center(ref):
         check(spec, words)
 
 
+def test_heavy_line_at_the_threshold():
+    # the line x = 0 holds 6 of 9 entries, counted with repetition (4
+    # distinct points, two of them twice); the other 3 lie off it, exactly
+    # the slack at need = 6, so the filter must keep it there and drop it
+    # at need = 7
+    F = tower_for_q(7)
+    on = [(0, 0, 1), (0, 0, 1), (0, 1, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1)]
+    pts = on + [(1, 0, 1), (1, 0, 1), (1, 1, 1)]
+    mult = collections.Counter(pts)
+    held = {L: sum(k for p, k in mult.items() if form_value(F, linear_form(L), p) == 0)
+            for L in pg2_lines(F)}
+    assert held.pop((1, 0, 0)) == 6 and max(held.values()) < 6
+    assert dec._heavy_line(F, pts, 6) == (1, 0, 0)
+    assert dec._heavy_line(F, pts, 7) is None
+
+
 def test_vertex_lines_hold_at_most_two_projections():
     # a line a*x + b*y = 0 of t = 0 passes through the vertex direction
     # (0, 0, 1) and pulls back to the line of AG(2,q) through the center's
@@ -203,7 +224,7 @@ def test_vertex_lines_hold_at_most_two_projections():
         vertex_lines = [(1, b, 0) for b in range(q)] + [(0, 1, 0)]
         r = tuple(rng.randrange(q) for _ in range(N))
         counts = []
-        for u, v, w, _ in dec._centers(spec):
+        for u, v, w, _ in spec._centers:
             projs = [dec.normalize_point(F, (F.q_sub(l1, u), F.q_sub(l2, v), F.q_sub(c, w)))
                      for (l1, l2), c in zip(spec.coords, r)]
             for L in vertex_lines:
@@ -376,6 +397,15 @@ def test_geometric_decode_constant_words_use_generator_centers(ref):
     assert res.factor == (0, 0, 1)
 
 
+def test_decodes_on_one_spec_share_the_center_tuple(ref):
+    # the centers are built once per spec, and each result holds its tuple
+    a = dec.geometric_decode(ref, (1,) * 6)
+    b = dec.geometric_decode(ref, (1,) * 5 + (3,))
+    assert a.codeword == b.codeword == (1,) * 6
+    assert a.center is b.center
+    assert a.center is ref._centers[1]
+
+
 def test_geometric_decode_weight_one_sampled(ref):
     F = ref.tower
     rng = random.Random(77)
@@ -471,6 +501,28 @@ def test_geometric_decode_needs_a_point_off_the_arc():
     assert sorted(spec.lam) == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="no projection center"):
         dec.geometric_decode(spec, (0, 0, 0, 1))
+
+
+def test_factor_test_raises_under_optimize():
+    # the factor test is a raised check, not an assert, so python -O keeps
+    # it: with the fit one degree short no curve of that degree passes
+    # through the projections, and the decode raises instead of returning
+    script = textwrap.dedent("""
+        from hermitian_mds import code as cc
+        from hermitian_mds import decoder as dec
+        fit = dec.fit_min_degree_curve
+        dec.fit_min_degree_curve = lambda F, pts: fit(F, pts) - 1
+        try:
+            dec.geometric_decode(cc.reference_instance(), (1,) * 6)
+        except AssertionError:
+            print("raised", __debug__)
+        else:
+            print("returned", __debug__)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(dec.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "raised False\n", "")
 
 
 def test_geometric_decode_result_invariants(ref, spec7):

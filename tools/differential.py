@@ -44,7 +44,7 @@ Cases (all deterministic; seeded words use random.Random("<q>:<i>")):
     random.Random("messages:<q>"); at the same q, the exception type and
     text for an x outside GF(q^2), a y outside S and kappa = q;
   - CodeSpec.gram_inv of construct_code(q) at every prime power q <= 256;
-  - generator_matrix at every prime power q = 2..16;
+  - generator_matrix and is_mds at every prime power q = 2..16;
   - weight_distribution(spec, "enumerate"), min_distance and
     common_zero_set (sorted) at every prime power q <= 64 and at q = 128
     and 256 with the default instances, at odd q <= 13 with the unit-trace
@@ -239,8 +239,10 @@ def emit_message_algebra(cc, dec, out):
 
 def emit_generators(cc, dec, out):
     for q in PRIME_POWERS:
-        G = cc.generator_matrix(cc.construct_code(q))
+        spec = cc.construct_code(q)
+        G = cc.generator_matrix(spec)
         out(f"generator q={q}", getattr, G, "rows", G)  # older checkouts: a MatrixFq
+        out(f"is_mds q={q}", cc.is_mds, spec)
 
 
 def emit_counts(cc, dec, out):
